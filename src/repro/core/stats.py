@@ -38,18 +38,37 @@ def normal_cdf(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
-def normal_ppf(p: float) -> float:
-    """Standard normal quantile via bisection on :func:`normal_cdf`."""
+def _bisect_quantile(
+    cdf: Callable[[float], float], p: float, lo: float, hi: float, steps: int
+) -> float:
+    """Invert ``cdf`` at ``p`` by bisecting ``(lo, hi)`` at most
+    ``steps`` times.
+
+    Stops at the first halving that leaves ``(lo, hi)`` unchanged.  The
+    halving is a deterministic map of ``(lo, hi)``, so that state is a
+    fixed point: every remaining halving would leave it unchanged too,
+    and the returned midpoint is bit-identical to running all ``steps``.
+    Once the bracket spans adjacent floats, this skips every further
+    evaluation of ``cdf``.
+    """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p}")
-    lo, hi = -40.0, 40.0
-    for __ in range(200):
+    for __ in range(steps):
         mid = 0.5 * (lo + hi)
-        if normal_cdf(mid) < p:
+        if cdf(mid) < p:
+            if mid == lo:
+                break
             lo = mid
         else:
+            if mid == hi:
+                break
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def normal_ppf(p: float) -> float:
+    """Standard normal quantile via bisection on :func:`normal_cdf`."""
+    return _bisect_quantile(normal_cdf, p, -40.0, 40.0, 200)
 
 
 def _betacf(a: float, b: float, x: float) -> float:
@@ -119,16 +138,7 @@ def t_cdf(t: float, df: float) -> float:
 
 def t_ppf(p: float, df: float) -> float:
     """Student-t quantile via bisection on :func:`t_cdf`."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be in (0, 1), got {p}")
-    lo, hi = -1e6, 1e6
-    for __ in range(400):
-        mid = 0.5 * (lo + hi)
-        if t_cdf(mid, df) < p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect_quantile(lambda t: t_cdf(t, df), p, -1e6, 1e6, 400)
 
 
 # --------------------------------------------------------------------------
@@ -271,6 +281,33 @@ def t_confidence_interval(
     )
 
 
+def _bootstrap_estimates(
+    values: Sequence[float],
+    stat: Callable[[Sequence[float]], float],
+    n_resamples: int,
+    seed: int,
+) -> List[float]:
+    """``stat`` of ``n_resamples`` resamples of ``values``, sorted.
+
+    Each resample draws ``len(values)`` indices from the suite's LCG
+    seeded with ``seed + 7919``, so every bootstrap interval built on
+    one seed sees the same draws.  Raises :class:`StatsError` unless
+    ``n_resamples`` is at least 1.
+    """
+    if n_resamples < 1:
+        raise StatsError(f"n_resamples must be at least 1, got {n_resamples}")
+    from repro.workloads.base import lcg_stream
+
+    rng = lcg_stream(seed + 7919)
+    n = len(values)
+    estimates: List[float] = []
+    for __ in range(n_resamples):
+        sample = [values[rng() % n] for __ in range(n)]
+        estimates.append(stat(sample))
+    estimates.sort()
+    return estimates
+
+
 def bootstrap_confidence_interval(
     values: Sequence[float],
     level: float = 0.95,
@@ -282,21 +319,13 @@ def bootstrap_confidence_interval(
 
     Deterministic given ``seed`` — uses the suite's LCG, not
     :mod:`random`.  Raises :class:`StatsError` on degenerate samples
-    (n < 2, zero variance) and out-of-range levels, like
-    :func:`t_confidence_interval`.  For a skew-corrected interval see
+    (n < 2, zero variance), out-of-range levels and ``n_resamples < 1``,
+    like :func:`t_confidence_interval`.  For a skew-corrected interval see
     :func:`repro.stats.bca_confidence_interval`.
     """
     check_sample(values, level, "bootstrap interval")
-    from repro.workloads.base import lcg_stream
-
     stat = statistic if statistic is not None else (lambda xs: sum(xs) / len(xs))
-    rng = lcg_stream(seed + 7919)
-    n = len(values)
-    estimates: List[float] = []
-    for __ in range(n_resamples):
-        sample = [values[rng() % n] for __ in range(n)]
-        estimates.append(stat(sample))
-    estimates.sort()
+    estimates = _bootstrap_estimates(values, stat, n_resamples, seed)
     alpha = (1.0 - level) / 2.0
     return ConfidenceInterval(
         lo=quantile(estimates, alpha),

@@ -17,11 +17,12 @@ intervals are comparable draw for draw), never :mod:`random`.
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro._errors import StatsError
 from repro.core.stats import (
     ConfidenceInterval,
+    _bootstrap_estimates,
     check_sample,
     normal_cdf,
     normal_ppf,
@@ -68,22 +69,14 @@ def bca_confidence_interval(
     half, and the fraction clamped away from 0 and 1 so ``z0`` stays
     finite); the acceleration comes from
     :func:`jackknife_acceleration`.  Degenerate samples (n < 2, zero
-    variance) and out-of-range levels raise
+    variance), out-of-range levels and ``n_resamples < 1`` raise
     :class:`~repro.core.errors.StatsError`, matching the other interval
     constructors.
     """
     check_sample(values, level, "BCa interval")
-    from repro.workloads.base import lcg_stream
-
     stat = statistic if statistic is not None else (lambda xs: sum(xs) / len(xs))
+    estimates = _bootstrap_estimates(values, stat, n_resamples, seed)
     theta = stat(list(values))
-    rng = lcg_stream(seed + 7919)
-    n = len(values)
-    estimates: List[float] = []
-    for __ in range(n_resamples):
-        sample = [values[rng() % n] for __ in range(n)]
-        estimates.append(stat(sample))
-    estimates.sort()
 
     below = sum(1 for e in estimates if e < theta)
     ties = sum(1 for e in estimates if e == theta)

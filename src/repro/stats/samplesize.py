@@ -118,8 +118,6 @@ def required_setups(
             "relative interval width is undefined for a zero-mean sample"
         )
     n = stats.n
-    half = _half_width(stats.std, n, level)
-    rel = half / abs(stats.mean)
     if stats.std == 0.0:
         return SampleSizeEstimate(
             n_observed=n,
@@ -130,6 +128,18 @@ def required_setups(
             recommended_n=n,
             converged=True,
         )
+    q = 0.5 + level / 2.0
+    # t_{m-1} at each size m, computed at most once per call: the
+    # half-width, the fixed point and the final scan share these values.
+    crit: Dict[int, float] = {}
+
+    def t_crit(m: int) -> float:
+        if m not in crit:
+            crit[m] = t_ppf(q, m - 1)
+        return crit[m]
+
+    half = t_crit(n) * stats.std / math.sqrt(n)
+    rel = half / abs(stats.mean)
     target_half = target_rel_width * abs(stats.mean)
     recommended = n
     if half > target_half:
@@ -138,7 +148,6 @@ def required_setups(
         # and re-solve with the t quantile at the current guess until it
         # stabilizes — a handful of t_ppf calls instead of one per
         # candidate m.
-        q = 0.5 + level / 2.0
         z = normal_ppf(q)
         m = max(n + 1, int(math.ceil((z * stats.std / target_half) ** 2)))
         for __ in range(16):
@@ -147,16 +156,15 @@ def required_setups(
                 break
             needed = max(
                 n + 1,
-                int(
-                    math.ceil(
-                        (t_ppf(q, m - 1) * stats.std / target_half) ** 2
-                    )
-                ),
+                int(math.ceil((t_crit(m) * stats.std / target_half) ** 2)),
             )
             if needed <= m:
                 break
             m = needed
-        while m < MAX_PROJECTED_N and _half_width(stats.std, m, level) > target_half:
+        while (
+            m < MAX_PROJECTED_N
+            and t_crit(m) * stats.std / math.sqrt(m) > target_half
+        ):
             m += 1
         recommended = m
     return SampleSizeEstimate(

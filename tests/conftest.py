@@ -11,6 +11,7 @@ import pytest
 
 from repro.arch import execute, get_machine
 from repro.core import Experiment, ExperimentalSetup
+from repro.core.stats import normal_cdf, t_cdf
 from repro.os import Environment, load_process
 from repro.toolchain import compile_program, compile_unit, link
 from repro import workloads
@@ -130,3 +131,29 @@ def run_main(source: str, opt_level: int = 2, profile: str = "gcc", inputs=None)
     return run_exe(
         compile_single(source, opt_level, profile), inputs=inputs
     ).exit_value
+
+
+def reference_normal_ppf(p: float) -> float:
+    """``normal_ppf`` as a fixed 200-halving bisection: the reference its
+    early-stopping kernel must match bit for bit."""
+    lo, hi = -40.0, 40.0
+    for __ in range(200):
+        mid = 0.5 * (lo + hi)
+        if normal_cdf(mid) < p:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def reference_t_ppf(p: float, df: float) -> float:
+    """``t_ppf`` as a fixed 400-halving bisection: the reference its
+    early-stopping kernel must match bit for bit."""
+    lo, hi = -1e6, 1e6
+    for __ in range(400):
+        mid = 0.5 * (lo + hi)
+        if t_cdf(mid, df) < p:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

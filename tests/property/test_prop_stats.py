@@ -14,6 +14,7 @@ from repro.core.stats import (
     t_confidence_interval,
     t_ppf,
 )
+from tests.conftest import reference_normal_ppf, reference_t_ppf
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -64,6 +65,18 @@ def test_t_ppf_matches_scipy(p, df):
     ours = t_ppf(p, df)
     theirs = scipy.stats.t.ppf(p, df)
     assert abs(ours - theirs) <= max(1e-5, abs(theirs) * 1e-5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    st.floats(min_value=0.01, max_value=1e6),
+)
+def test_quantiles_match_fixed_count_bisection(p, df):
+    # Stopping at the bracket's fixed point returns the same float the
+    # fixed-count loops do.
+    assert normal_ppf(p).hex() == reference_normal_ppf(p).hex()
+    assert t_ppf(p, df).hex() == reference_t_ppf(p, df).hex()
 
 
 @settings(max_examples=100, deadline=None)

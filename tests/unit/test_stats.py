@@ -1,10 +1,12 @@
 """Unit tests: statistics (distributions cross-checked against scipy)."""
 
 import math
+import random
 
 import pytest
 import scipy.stats
 
+import repro.core.stats
 from repro.core.errors import StatsError
 from repro.core.stats import (
     ConfidenceInterval,
@@ -21,6 +23,7 @@ from repro.core.stats import (
     t_confidence_interval,
     t_ppf,
 )
+from tests.conftest import reference_normal_ppf, reference_t_ppf
 
 
 class TestDistributionsAgainstScipy:
@@ -57,6 +60,39 @@ class TestDistributionsAgainstScipy:
             normal_ppf(0.0)
         with pytest.raises(ValueError):
             t_ppf(1.0, 5)
+
+
+class TestQuantileExactness:
+    """The bisections stop at their fixed point, yet return the float the
+    fixed-count loops (tests/conftest.py) return, bit for bit."""
+
+    _rng = random.Random(13)
+    PS = [1e-9, 0.025, 0.5, 0.975, 1 - 1e-9] + [
+        _rng.random(), _rng.random(), _rng.random()
+    ]
+    DFS = [0.5, 1, 2.5, 15, 71, 73, 1e5]
+
+    @pytest.mark.parametrize("p", PS)
+    def test_normal_ppf_matches_fixed_count_loop(self, p):
+        assert normal_ppf(p).hex() == reference_normal_ppf(p).hex()
+
+    @pytest.mark.parametrize("df", DFS)
+    @pytest.mark.parametrize("p", PS)
+    def test_t_ppf_matches_fixed_count_loop(self, p, df):
+        assert t_ppf(p, df).hex() == reference_t_ppf(p, df).hex()
+
+    @pytest.mark.parametrize("df", DFS)
+    def test_t_ppf_stops_at_the_fixed_point(self, df, monkeypatch):
+        calls = []
+
+        def counting_t_cdf(t, d):
+            calls.append(t)
+            return t_cdf(t, d)
+
+        monkeypatch.setattr(repro.core.stats, "t_cdf", counting_t_cdf)
+        t_ppf(0.975, df)
+        # The bracket stops changing after at most 73 of the 400 halvings.
+        assert len(calls) <= 74
 
 
 class TestSummaryStats:
@@ -169,6 +205,13 @@ class TestIntervalHardening:
     def test_level_edges_raise(self, interval, level):
         with pytest.raises(StatsError):
             interval([1.0, 2.0, 3.0], level=level)
+
+    @pytest.mark.parametrize("n_resamples", [0, -1])
+    def test_bootstrap_needs_a_resample(self, n_resamples):
+        with pytest.raises(
+            StatsError, match=f"n_resamples must be at least 1, got {n_resamples}"
+        ):
+            bootstrap_confidence_interval([1.0, 2.0, 3.0], n_resamples=n_resamples)
 
     def test_error_messages_name_the_problem(self):
         with pytest.raises(StatsError, match="at least 2"):

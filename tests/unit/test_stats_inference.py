@@ -7,12 +7,17 @@ distribution functions.
 """
 
 import math
+from collections import Counter
 
 import pytest
 
 scipy_stats = pytest.importorskip("scipy.stats")
 
+import repro.stats.samplesize
+from repro.core import ExperimentalSetup
 from repro.core.errors import StatsError
+from repro.core.randomization import evaluate_with_randomization
+from repro.core.stats import t_ppf
 from repro.stats import (
     SKEW_THRESHOLD,
     analyze_speedups,
@@ -149,6 +154,13 @@ class TestBcaInterval:
         with pytest.raises(StatsError):
             bca_confidence_interval(X, level=1.0)
 
+    @pytest.mark.parametrize("n_resamples", [0, -1])
+    def test_needs_a_resample(self, n_resamples):
+        with pytest.raises(
+            StatsError, match=f"n_resamples must be at least 1, got {n_resamples}"
+        ):
+            bca_confidence_interval(X, n_resamples=n_resamples)
+
     def test_jackknife_acceleration_zero_when_loo_stats_agree(self):
         # A constant statistic has identical leave-one-out values: no
         # acceleration, graceful degradation to bias-corrected percentile.
@@ -215,6 +227,29 @@ class TestRequiredSetups:
         assert d["n_observed"] == len(X)
         assert d["method"] == "t-width projection"
         assert isinstance(d["converged"], bool)
+
+    @pytest.mark.slow
+    def test_each_t_quantile_computed_once(self, perlbench_experiment, monkeypatch):
+        # The 16 speedups of perfbench's warm-rerun plan: perlbench O2
+        # vs O3 over paired_random_setups(16 pairs, seed 0).
+        speedups = evaluate_with_randomization(
+            perlbench_experiment,
+            ExperimentalSetup(opt_level=2),
+            ExperimentalSetup(opt_level=3),
+            n_setups=16,
+            seed=0,
+        ).speedups
+        dfs = Counter()
+
+        def counting_t_ppf(p, df):
+            dfs[df] += 1
+            return t_ppf(p, df)
+
+        monkeypatch.setattr(repro.stats.samplesize, "t_ppf", counting_t_ppf)
+        est = required_setups(speedups)
+        assert dfs == {15: 1, 71: 1, 73: 1}
+        assert est.recommended_n == 74
+        assert est.half_width == 0.023382421020773526
 
 
 class TestConvergenceTrajectory:
