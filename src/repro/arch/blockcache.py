@@ -9,14 +9,18 @@ tax in two layers:
 
 1. **Basic-block decode cache** — on first use of an
    (:class:`~repro.isa.program.Executable`, machine config) pair, every
-   straight-line block (leader → first control transfer) is decoded
-   *once* into a specialized Python function: operands, effective
-   immediates, byte addresses, trap messages and per-machine cycle
-   constants are baked in as literals, so the hot loop replays compiled
-   blocks instead of re-decoding instructions.  Code is immutable after
-   load, so the cache is never invalidated for a live ``Executable``;
-   across processes, the result store's ``engine_fingerprint`` hashes
-   this module's source, so any change here invalidates stored results
+   straight-line block the dispatcher can reach (leader → first control
+   transfer) is decoded *once* into a specialized Python function:
+   register numbers, non-CONST immediates and per-machine cycle
+   constants are baked in as literals, and every value that depends on
+   the link layout (flat pcs, window and line numbers, predictor
+   indices, return addresses, CONST values) is a placeholder bound per
+   executable, so relinks of one program share compiled code
+   (:class:`CodePool`).  The hot loop replays compiled blocks instead of
+   re-decoding instructions.  Code is immutable after load, so the
+   cache is never invalidated for a live ``Executable``; across
+   processes, the result store's ``engine_fingerprint`` hashes this
+   module's source, so any change here invalidates stored results
    automatically.
 
 2. **Block timing memo** — a block's front-end cost (fetch-window
@@ -44,11 +48,12 @@ preset.  See ``docs/engine.md`` for the full derivation.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 import weakref
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro._errors import RunTimeout, SimulationError
 from repro.arch import engine as _engine
@@ -59,6 +64,7 @@ from repro.os.loader import ProcessImage
 __all__ = [
     "BlockCache",
     "BlockPlan",
+    "CodePool",
     "block_cache_for",
     "execute_fast",
     "warm",
@@ -76,6 +82,87 @@ _CONTROL_OPS = frozenset((28, 29, 30, 31, 32, 34))
 #: engine self-profiling).  Each combination changes the generated code.
 _Variant = Tuple[bool, bool, bool, bool]
 
+#: Per-run arguments of every factory, in :func:`execute_fast`'s order.
+_RUN_ARGS = (
+    "regs, mem, mg, ad, ai, a2i, pt, ph, cnt, lsd, bud, maxi, lim,"
+    " fcy, pcc, epc, ecc, ens, est, eck, ds, dm, l1d"
+)
+
+#: The only globals generated code sees.  Factories are shared across
+#: executables, so nothing here may belong to one executable.
+_FACTORY_GLOBALS: Dict[str, Any] = {
+    "__builtins__": {"abs": abs, "KeyError": KeyError},
+    "abs": abs,
+    "KeyError": KeyError,
+    "BaseException": BaseException,
+    "_M": _M64,
+    "SimulationError": SimulationError,
+    "RunTimeout": RunTimeout,
+}
+
+
+class CodePool:
+    """Compiled block factories shared by the executables of one study.
+
+    A generated factory takes every layout-dependent value as a leading
+    ``_k<i>`` argument, so blocks with the same structure in different
+    links of a program render to the same source.  :meth:`bind` compiles
+    each distinct source once and binds the function to one
+    executable's values.  ``compiled`` counts code objects, ``bound``
+    counts factories bound.  An :class:`~repro.core.Experiment` owns one
+    pool for its relinks; a cache created without one gets its own.
+    """
+
+    def __init__(self) -> None:
+        self._fns: Dict[str, Callable] = {}
+        self._lock = threading.Lock()
+        self.compiled = 0
+        self.bound = 0
+
+    def bind(self, src: str, values: Sequence[int], tag: str) -> Callable:
+        """The factory ``src`` defines, with its placeholders bound."""
+        with self._lock:
+            fn = self._fns.get(src)
+            if fn is None:
+                ns: Dict[str, Any] = {}
+                exec(  # noqa: S102 — the source is generated from decode
+                    compile(src, f"<repro-blockcache:{tag}>", "exec"),
+                    _FACTORY_GLOBALS,
+                    ns,
+                )
+                fn = self._fns[src] = ns["_mk"]
+                self.compiled += 1
+            self.bound += 1
+        return functools.partial(fn, *values)
+
+
+class _Binds:
+    """Placeholder allocator for one generated factory.
+
+    Each layout-dependent literal is emitted as ``_k<i>`` and its value
+    recorded in ``values``.  A flat pc gets one placeholder per value:
+    pc equalities inside a chain follow its control flow, which every
+    layout shares.  Any other quantity gets its own, so layouts that
+    differ only in which line numbers or constants coincide still render
+    the same source.  ``exits`` collects the pcs the factory hands back
+    to the dispatcher.
+    """
+
+    def __init__(self) -> None:
+        self.values: List[int] = []
+        self.exits: List[int] = []
+        self._pcs: Dict[int, str] = {}
+
+    def new(self, value: int) -> str:
+        self.values.append(value)
+        return f"_k{len(self.values) - 1}"
+
+    def pc(self, value: int) -> str:
+        name = self._pcs.get(value)
+        if name is None:
+            name = self._pcs[value] = self.new(value)
+        return name
+
 
 @dataclass(frozen=True)
 class BlockPlan:
@@ -85,9 +172,10 @@ class BlockPlan:
     the control opcode ending the block (None when the block ends at a
     leader boundary or at the end of the code image).  ``entry_window``
     and ``entry_line`` are the fetch-window and I-cache line indices of
-    the entry instruction — the alignment part of the timing-memo key,
-    which is why two layouts of the same instruction stream compile to
-    different block code (the phenomenon the paper measures).
+    the entry instruction — the alignment part of the timing-memo key.
+    Two layouts whose alignment moves a block's window or line
+    boundaries render it to different code (the phenomenon the paper
+    measures); layouts that only shift it share one code object.
     """
 
     entry: int
@@ -124,15 +212,20 @@ class BlockCache:
 
     Holds only the executable's decode arrays (not the ``Executable``
     itself — the registry below keys on it weakly, and a strong
-    back-reference from the value would leak the entry).  Blocks are
-    batch-compiled per *variant* (budget/profiling combination) on first
-    use; blocks entered at addresses discovered only at run time
-    (returns to computed addresses landing mid-block) are compiled
-    lazily and cached alongside.
+    back-reference from the value would leak the entry).  Each *variant*
+    (budget/profiling combination) compiles on first use the blocks the
+    dispatcher can reach: the program entry, every CALL return site, and
+    transitively every pc a compiled block hands back.  Blocks entered
+    anywhere else (returns to computed addresses landing mid-block) are
+    compiled lazily and cached alongside.  Code objects come from
+    ``pool``, which relinks of the same program share.
     """
 
-    def __init__(self, exe, cfg: MachineConfig) -> None:
+    def __init__(
+        self, exe, cfg: MachineConfig, pool: Optional[CodePool] = None
+    ) -> None:
         self.cfg = cfg
+        self._pool = pool if pool is not None else CodePool()
         self._ops = exe.ops
         self._rds = exe.rds
         self._ras = exe.ras
@@ -143,7 +236,6 @@ class BlockCache:
         self._sizes = exe.sizes
         self._n = len(exe.ops)
         self._entry = exe.entry
-        self._a2i_get = exe.addr_to_index.get
         self._leaders = _static_leaders(exe.ops, exe.targets, exe.entry)
         self._func_of: List[str] = [""] * self._n
         for pf in exe.placed:
@@ -206,17 +298,11 @@ class BlockCache:
 
     # -- compilation ------------------------------------------------------
 
-    def _new_globals(self) -> Dict[str, Any]:
-        return {
-            "__builtins__": {"abs": abs, "KeyError": KeyError},
-            "abs": abs,
-            "KeyError": KeyError,
-            "_w64": _engine._wrap64,
-            "_M": _M64,
-            "a2i": self._a2i_get,
-            "SimulationError": SimulationError,
-            "RunTimeout": RunTimeout,
-        }
+    def _bind(self, entry: int, variant: _Variant) -> Tuple[Callable, List[int]]:
+        """(factory for the block at ``entry``, pcs it returns to)."""
+        src, ks = self._factory_source(entry, variant)
+        tag = "".join("1" if f else "0" for f in variant)
+        return self._pool.bind(src, ks.values, tag), ks.exits
 
     def _ensure_variant(self, variant: _Variant) -> Dict[str, Any]:
         ent = self._variants.get(variant)
@@ -226,25 +312,21 @@ class BlockCache:
             ent = self._variants.get(variant)
             if ent is not None:
                 return ent
-            chunks = []
-            entries = []
-            for lead in sorted(self._leaders):
-                if 0 <= lead < self._n:
-                    chunks.append(self._factory_source(lead, variant))
-                    entries.append(lead)
-            glb = self._new_globals()
-            tag = "".join("1" if f else "0" for f in variant)
-            exec(  # noqa: S102 — the source is generated from decode
-                compile(
-                    "\n".join(chunks), f"<repro-blockcache:{tag}>", "exec"
-                ),
-                glb,
-            )
-            ent = {
-                "globals": glb,
-                "table": {pc: glb[f"_mk_{pc}"] for pc in entries},
-                "compiled": len(entries),
-            }
+            # The dispatcher enters blocks at the program entry, at CALL
+            # return sites (RET targets are computed), and at the pcs
+            # compiled blocks return; chain continuations and loop
+            # rotations run inside a frame and never need a factory.
+            table: Dict[int, Callable] = {}
+            todo = [self._entry] + [
+                i + 1 for i in range(self._n) if self._ops[i] == 31
+            ]
+            while todo:
+                pc = todo.pop()
+                if pc in table or not 0 <= pc < self._n:
+                    continue
+                table[pc], exits = self._bind(pc, variant)
+                todo.extend(exits)
+            ent = {"table": table, "compiled": len(table)}
             self._variants[variant] = ent
             return ent
 
@@ -266,17 +348,7 @@ class BlockCache:
             with self._lock:
                 fac = table.get(pc)
                 if fac is None:
-                    src = self._factory_source(pc, variant)
-                    glb = ent["globals"]
-                    tag = "".join("1" if f else "0" for f in variant)
-                    exec(  # noqa: S102
-                        compile(
-                            src, f"<repro-blockcache:{tag}:late>", "exec"
-                        ),
-                        glb,
-                    )
-                    fac = glb[f"_mk_{pc}"]
-                    table[pc] = fac
+                    fac = table[pc] = self._bind(pc, variant)[0]
                     ent["compiled"] += 1
         return fac
 
@@ -317,29 +389,28 @@ class BlockCache:
             seen.add(nxt)
             total += len(nplan.pcs)
 
-    def _factory_source(self, entry: int, variant: _Variant) -> str:
-        """Source for one block's factory function (``_mk_<entry>``).
+    def _factory_source(self, entry: int, variant: _Variant) -> Tuple[str, _Binds]:
+        """Source for one block's factory function (``_mk``), plus its
+        placeholder values and exit pcs.
 
-        The factory closes over per-run state (registers, memory, cache
-        and predictor methods, tallies, profiling sinks) and returns the
-        block body ``_b(cycles, executed, llr, cw, cl) -> (next_pc,
-        cycles, executed, llr, cw, cl)`` — ``next_pc`` is None after
-        HALT.  The body is a ``while True`` loop over the block's
-        continuation chain (:meth:`_chain`): exits whose static target
-        is ``entry`` compile to ``continue``, so hot loops iterate
-        inside one Python frame instead of re-entering the dispatcher.
-        With an LSD, each chain segment re-evaluates the covered guard
-        exactly where the dispatcher would have, and is emitted twice
-        (covered path with the front end waived, plus the normal path)
-        unless no activation range can ever contain it.
+        The factory takes the block's placeholder values, then closes
+        over per-run state (registers, memory, cache and predictor
+        methods, tallies, profiling sinks) and returns the block body
+        ``_b(cycles, executed, llr, cw, cl) -> (next_pc, cycles,
+        executed, llr, cw, cl)`` — ``next_pc`` is None after HALT.  The
+        body is a ``while True`` loop over the block's continuation
+        chain (:meth:`_chain`): exits whose static target is ``entry``
+        compile to ``continue``, so hot loops iterate inside one Python
+        frame instead of re-entering the dispatcher.  With an LSD, each
+        chain segment re-evaluates the covered guard exactly where the
+        dispatcher would have, and is emitted twice (covered path with
+        the front end waived, plus the normal path) unless no activation
+        range can ever contain it.
         """
         segs, _closes = self._chain(entry)
         rset, wset = self._reg_sets(segs)
-        out = [
-            f"def _mk_{entry}(regs, mem, mg, ad, ai, pt, ph, cnt, lsd,"
-            " bud, maxi, fcy, pcc, epc, ecc, ens, est, eck, ds, dm, l1d):",
-            "    def _b(cycles, executed, llr, cw, cl):",
-        ]
+        ks = _Binds()
+        out = ["    def _b(cycles, executed, llr, cw, cl):"]
         # Architectural registers live in Python locals for the whole
         # frame: loaded once here, flushed back only on exits that leave
         # the frame.  Nothing else reads ``regs`` mid-run, and a raised
@@ -365,21 +436,32 @@ class BlockCache:
         )
         if has_hist:
             out.append("        _h = ph[0]")
-        out.append("        while True:")
-        base = " " * 12
-        wb = (
-            tuple(f"regs[{i}] = _r{i}" for i in sorted(wset))
-            + (("l1d.hits += _dh",) if has_mem else ())
-            + (("ph[0] = _h",) if has_hist else ())
+        # The deferred hit tally and history are machine state the
+        # caller can read after a trap, so an exception leaving the
+        # frame flushes them first (registers die with the run).
+        flush = (("l1d.hits += _dh",) if has_mem else ()) + (
+            ("ph[0] = _h",) if has_hist else ()
         )
+        if flush:
+            out.append("        try:")
+        pad = "    " if flush else ""
+        out.append(pad + "        while True:")
+        base = pad + " " * 12
+        wb = tuple(f"regs[{i}] = _r{i}" for i in sorted(wset)) + flush
         fold = self._const_regs(segs)
         for si, plan in enumerate(segs):
             self._emit_seam(
-                out, base, plan, variant, entry, wb, fold,
+                out, base, plan, variant, entry, wb, fold, ks,
                 falls=si + 1 < len(segs),
             )
+        if flush:
+            out.append("        except BaseException:")
+            out.extend("            " + line for line in flush)
+            out.append("            raise")
         out.append("    return _b")
-        return "\n".join(out) + "\n"
+        params = "".join(f"_k{i}, " for i in range(len(ks.values)))
+        out.insert(0, f"def _mk({params}{_RUN_ARGS}):")
+        return "\n".join(out) + "\n", ks
 
     def _reg_sets(self, segs: List[BlockPlan]) -> Tuple[set, set]:
         """(read-or-written, written) register numbers over a chain."""
@@ -450,6 +532,7 @@ class BlockCache:
         entry: int,
         wb: Tuple[str, ...],
         fold: Tuple[Dict[int, Tuple[int, int]], Dict[int, int]],
+        ks: _Binds,
         falls: bool,
     ) -> None:
         """Emit one chain segment behind its LSD coverage seam.
@@ -461,16 +544,15 @@ class BlockCache:
         pcs = plan.pcs
         if not self.cfg.has_lsd:
             self._emit_body(
-                out, base, pcs, variant, False, entry, wb, fold, falls
+                out, base, pcs, variant, False, entry, wb, fold, ks, falls
             )
             return
         if any(lo <= plan.entry <= hi for lo, hi in self._lsd_ranges):
-            out.append(
-                base + f"if lsd[0] and lsd[1] <= {plan.entry} <= lsd[2]:"
-            )
+            kp = ks.pc(plan.entry)
+            out.append(base + f"if lsd[0] and lsd[1] <= {kp} <= lsd[2]:")
             self._emit_body(
                 out, base + "    ", pcs, variant, True, entry, wb, fold,
-                falls,
+                ks, falls,
             )
             out.append(base + "else:")
             out.append(base + "    if lsd[0]:")
@@ -478,14 +560,14 @@ class BlockCache:
             out.append(base + "        lsd[3] = 0")
             self._emit_body(
                 out, base + "    ", pcs, variant, False, entry, wb, fold,
-                falls,
+                ks, falls,
             )
         else:
             out.append(base + "if lsd[0]:")
             out.append(base + "    lsd[0] = 0")
             out.append(base + "    lsd[3] = 0")
             self._emit_body(
-                out, base, pcs, variant, False, entry, wb, fold, falls
+                out, base, pcs, variant, False, entry, wb, fold, ks, falls
             )
 
     def _emit_body(
@@ -498,6 +580,7 @@ class BlockCache:
         entry: int,
         wb: Tuple[str, ...],
         fold: Tuple[Dict[int, Tuple[int, int]], Dict[int, int]],
+        ks: _Binds,
         falls: bool,
     ) -> None:
         """Emit one segment body at indent ``pad``.
@@ -512,7 +595,9 @@ class BlockCache:
         ``continue``; the continuation exit of a non-final chain
         segment (``falls``) reconciles the state locals and falls
         through to the next segment's seam; everything else returns to
-        the dispatcher.
+        the dispatcher.  Layout-dependent values go through ``ks``;
+        the symbolic window and line are ``[value, placeholder]`` pairs
+        whose placeholder is allocated when first emitted.
         """
         budget, fcc, pcc_on, eprof = variant
         profiling = fcc or pcc_on
@@ -563,10 +648,36 @@ class BlockCache:
         if covered:
             statics[_T["lsd_covered"]] = blen
         ecls: Dict[int, int] = {}
-        # Symbolic state: "?" = unknown (dynamic), else known constant.
+        # Symbolic state: "?" = unknown (dynamic), else a known
+        # [value, placeholder or None] pair.
         sim_cw: Any = "?"
         sim_cl: Any = "?"
         llr: Any = "llr"  # "llr" = dynamic entry value, else an int
+
+        def known(state: list) -> str:
+            """Placeholder for a known window or line number."""
+            if state[1] is None:
+                state[1] = ks.new(state[0])
+            return state[1]
+
+        def enter_line(ln: int) -> None:
+            """Charge the move of a known window onto I-cache line
+            ``ln``: a guard while the line is unknown, else static."""
+            nonlocal sim_cl
+            if sim_cl == "?":
+                kl = ks.new(ln)
+                A(pad + f"if cl != {kl}:")
+                A(pad + f"    cycles += ai({kl})")
+                A(pad + f"    cl = {kl}")
+                sim_cl = [ln, kl]
+            elif sim_cl[0] != ln:
+                kl = ks.new(ln)
+                A(pad + f"cycles += ai({kl})")
+                sim_cl = [ln, kl]
+
+        def operand(r: int, value: Optional[int]) -> str:
+            """Register ``r``, or its folded CONST value."""
+            return f"_r{r}" if value is None else ks.new(value)
 
         def lu_check(p2: str, regs_checked: List[int]) -> None:
             """Load-use penalty: dynamic guard or static fold."""
@@ -591,7 +702,7 @@ class BlockCache:
 
         def emit_exit(
             p2: str,
-            next_expr: str,
+            nxt: Any,
             term_pc: int,
             term_prof: bool = True,
             cont: bool = False,
@@ -599,6 +710,8 @@ class BlockCache:
             """Per-exit epilogue: profiling delta, batched tallies,
             self-profiling updates, then return / continue / fall-through.
 
+            ``nxt`` is the next flat pc, or the source expression
+            ``"_x"`` (a computed return) or ``None`` (HALT).
             ``term_prof`` is False for leader-boundary fall-through
             exits, whose last instruction already emitted its own
             profiling epilogue in the main walk.  ``cont`` marks the
@@ -608,17 +721,17 @@ class BlockCache:
                 if fcc and pcc_on:
                     A(p2 + "_d = cycles - _cb")
                     A(p2 + f"fcy[{self._func_of[term_pc]!r}] += _d")
-                    A(p2 + f"pcc[{term_pc}] += _d")
+                    A(p2 + f"pcc[{ks.pc(term_pc)}] += _d")
                 elif fcc:
                     A(p2 + f"fcy[{self._func_of[term_pc]!r}] += cycles - _cb")
                 else:
-                    A(p2 + f"pcc[{term_pc}] += cycles - _cb")
+                    A(p2 + f"pcc[{ks.pc(term_pc)}] += cycles - _cb")
             A(p2 + f"executed += {blen}")
             for idx, k in enumerate(statics):
                 if k:
                     A(p2 + f"cnt[{idx}] += {k}")
             if eprof:
-                lo, hi = pcs[0], pcs[0] + blen
+                lo, hi = ks.pc(pcs[0]), ks.pc(pcs[0] + blen)
                 A(p2 + f"epc[{lo}:{hi}] = [_v + 1 for _v in epc[{lo}:{hi}]]")
                 for ci in sorted(ecls):
                     A(p2 + f"ecc[{ci}] += {ecls[ci]}")
@@ -633,10 +746,10 @@ class BlockCache:
                     for ci in sorted(ecls):
                         A(p2 + f"ens[{ci}] += _q * {ecls[ci]}")
                     A(p2 + f"ens[{tci}] += _dt - _q * {blen}")
-            cw_out = "cw" if (covered or sim_cw == "?") else str(sim_cw)
-            cl_out = "cl" if (covered or sim_cl == "?") else str(sim_cl)
+            cw_out = "cw" if (covered or sim_cw == "?") else known(sim_cw)
+            cl_out = "cl" if (covered or sim_cl == "?") else known(sim_cl)
             llr_out = "-1" if llr == "llr" else str(llr)
-            if (cont and falls) or next_expr == str(entry):
+            if (cont and falls) or nxt == entry:
                 # Reconcile the state locals to exactly what a return
                 # would have handed the dispatcher, then stay in-frame.
                 if cw_out != "cw":
@@ -646,21 +759,27 @@ class BlockCache:
                 A(p2 + f"llr = {llr_out}")
                 if cont and falls:
                     return
-                # Loop back to the seam: replicate the dispatcher's
-                # post-block runaway check (the budget variant already
-                # checks before every instruction).
+                # Loop back to the seam, unless the run is within one
+                # pass of the instruction cap: then hand the loop head
+                # back to the dispatcher, which finishes on the budget
+                # variant (that one checks before every instruction).
                 if not budget:
-                    A(p2 + "if executed > maxi:")
+                    A(p2 + "if executed > lim:")
+                    for line in wb:
+                        A(p2 + "    " + line)
                     A(
-                        p2 + '    raise SimulationError(f"exceeded'
-                        ' {maxi} instructions (runaway loop?)")'
+                        p2 + f"    return {ks.pc(entry)}, cycles, executed,"
+                        " llr, cw, cl"
                     )
                 A(p2 + "continue")
                 return
             for line in wb:
                 A(p2 + line)
+            if isinstance(nxt, int):
+                ks.exits.append(nxt)
+                nxt = ks.pc(nxt)
             A(
-                p2 + f"return {next_expr}, cycles, executed, "
+                p2 + f"return {nxt}, cycles, executed, "
                 f"{llr_out}, {cw_out}, {cl_out}"
             )
 
@@ -706,55 +825,52 @@ class BlockCache:
                 wend = end >> self._ws
                 lend = end >> 6
                 if sim_cw == "?":
-                    A(pad + f"if cw != {w}:")
+                    kw, kl = ks.new(w), ks.new(ln)
+                    A(pad + f"if cw != {kw}:")
                     A(pad + f"    cycles += {WINC}")
                     A(pad + f"    cnt[{_T['window_fetches']}] += 1")
-                    A(pad + f"    if cl != {ln}:")
-                    A(pad + f"        cycles += ai({ln})")
-                    A(pad + f"        cl = {ln}")
-                    sim_cw = w
+                    A(pad + f"    if cl != {kl}:")
+                    A(pad + f"        cycles += ai({kl})")
+                    A(pad + f"        cl = {kl}")
+                    sim_cw = [w, kw]
                     sim_cl = "?"
-                elif sim_cw != w:
+                elif sim_cw[0] != w:
                     A(pad + f"cycles += {WINC}")
                     statics[_T["window_fetches"]] += 1
-                    if sim_cl == "?":
-                        A(pad + f"if cl != {ln}:")
-                        A(pad + f"    cycles += ai({ln})")
-                        A(pad + f"    cl = {ln}")
-                    elif sim_cl != ln:
-                        A(pad + f"cycles += ai({ln})")
-                    sim_cl = ln
-                    sim_cw = w
-                if wend != sim_cw:
+                    enter_line(ln)
+                    sim_cw = [w, None]
+                if wend != sim_cw[0]:
                     A(pad + f"cycles += {STR}")
                     statics[_T["window_straddles"]] += 1
-                    if sim_cl == "?":
-                        A(pad + f"if cl != {lend}:")
-                        A(pad + f"    cycles += ai({lend})")
-                        A(pad + f"    cl = {lend}")
-                    elif sim_cl != lend:
-                        A(pad + f"cycles += ai({lend})")
-                    sim_cl = lend
-                    sim_cw = wend
+                    enter_line(lend)
+                    sim_cw = [wend, None]
 
             A(pad + f"cycles += {ISSUE}")
 
             # ---- execute ----
-            if op == 0:  # CONST
-                A(pad + f"_r{rd} = {imm}")
+            if op == 0:  # CONST (the linker patches addresses in here)
+                A(pad + f"_r{rd} = {ks.new(imm)}")
                 llr = -1
             elif op == 1:  # MOV
                 lu_check(pad, [ra])
-                vac = KV(ra)
-                A(pad + f"_r{rd} = {vac if vac is not None else f'_r{ra}'}")
+                A(pad + f"_r{rd} = {operand(ra, KV(ra))}")
                 llr = -1
             elif op <= 15:  # register ALU
                 lu_check(pad, [ra, rb])
                 vac = KV(ra)
                 vbc = KV(rb)
-                va = repr(vac) if vac is not None else f"_r{ra}"
-                vb = repr(vbc) if vbc is not None else f"_r{rb}"
-                if op == 2:
+                cc = vbc if vbc is not None else vac
+                masked = (
+                    op == 7 and cc is not None and 0 <= cc & _M64 <= I64_MAX
+                )
+                va = "" if masked else operand(ra, vac)
+                vb = "" if masked else operand(rb, vbc)
+                if masked:
+                    # x & c == (x & _M) & (c & _M) for 0 <= c < 2**63,
+                    # and the result fits signed 64 — no wrap needed.
+                    other = operand(ra, vac) if vbc is not None else f"_r{rb}"
+                    A(pad + f"_r{rd} = {other} & {ks.new(cc & _M64)}")
+                elif op == 2:
                     A(pad + f"_r{rd} = {va} + {vb}")
                 elif op == 3:
                     A(pad + f"_r{rd} = {va} - {vb}")
@@ -770,7 +886,7 @@ class BlockCache:
                     A(pad + "if vb == 0:")
                     A(
                         pad + "    raise SimulationError("
-                        f'"{word} by zero at pc={p}")'
+                        f'f"{word} by zero at pc={{{ks.pc(p)}}}")'
                     )
                     A(pad + "q = abs(va) // abs(vb)")
                     if op == 5:
@@ -782,15 +898,8 @@ class BlockCache:
                         A(pad + "q = -q if (va < 0) != (vb < 0) else q")
                         A(pad + f"_r{rd} = va - q * vb")
                 elif op == 7:
-                    cc = vbc if vbc is not None else vac
-                    other = va if vbc is not None else vb
-                    if cc is not None and 0 <= cc & _M64 <= I64_MAX:
-                        # x & c == (x & _M) & (c & _M) for 0 <= c < 2**63,
-                        # and the result fits signed 64 — no wrap needed.
-                        A(pad + f"_r{rd} = {other} & {cc & _M64}")
-                    else:
-                        A(pad + f"_r = ({va} & _M) & ({vb} & _M)")
-                        wrap_nonneg(pad, rd)
+                    A(pad + f"_r = ({va} & _M) & ({vb} & _M)")
+                    wrap_nonneg(pad, rd)
                 elif op == 8:
                     A(pad + f"_r = ({va} & _M) | ({vb} & _M)")
                     wrap_nonneg(pad, rd)
@@ -813,8 +922,7 @@ class BlockCache:
                 llr = -1
             elif op <= 23:  # immediate ALU
                 lu_check(pad, [ra])
-                vac = KV(ra)
-                va = repr(vac) if vac is not None else f"_r{ra}"
+                va = operand(ra, KV(ra))
                 if op == 16:
                     A(pad + f"_r{rd} = {va} + {imm}")
                 elif op == 17:
@@ -845,7 +953,7 @@ class BlockCache:
                 lu_check(pad, [ra])
                 vac = KV(ra)
                 if vac is not None:
-                    A(pad + f"ea = {vac + imm}")
+                    A(pad + f"ea = {ks.new(vac + imm)}")
                 elif imm:
                     A(pad + f"ea = _r{ra} + {imm}")
                 else:
@@ -902,10 +1010,10 @@ class BlockCache:
                 # path always leaves the frame or re-enters the loop, so
                 # code after the ``if _t:`` block is the not-taken path.
                 if GSH:
-                    A(pad + f"_i = ({addr >> 1} ^ _h) & {PMASK}")
+                    A(pad + f"_i = ({ks.new(addr >> 1)} ^ _h) & {PMASK}")
                     pslot = "pt[_i]"
                 else:
-                    pslot = f"pt[{(addr >> 1) & PMASK}]"
+                    pslot = f"pt[{ks.new((addr >> 1) & PMASK)}]"
                 A(pad + f"_c = {pslot}")
                 A(pad + "if _t:")
                 p2 = pad + "    "
@@ -920,8 +1028,8 @@ class BlockCache:
                 A(p2 + f"cycles += {TAK}")
                 llr = -1
                 if cfg.has_lsd and self._lsd_eligible[p]:
-                    self._emit_lsd_bookkeeping(out, p2, p, tgt, covered)
-                emit_exit(p2, str(tgt), p)
+                    self._emit_lsd_bookkeeping(out, p2, p, tgt, covered, ks)
+                emit_exit(p2, tgt, p)
                 A(pad + "if _c > 0:")
                 A(pad + f"    {pslot} = _c - 1")
                 if GSH:
@@ -929,14 +1037,14 @@ class BlockCache:
                 A(pad + "if _c >= 2:")
                 A(pad + f"    cnt[{_T['mispredicts']}] += 1")
                 A(pad + f"    cycles += {MISP}")
-                emit_exit(pad, str(p + 1), p, cont=True)
+                emit_exit(pad, p + 1, p, cont=True)
                 return
             elif op == 30:  # JMP
                 A(pad + f"cycles += {TAK}")
                 llr = -1
                 if cfg.has_lsd and self._lsd_eligible[p]:
-                    self._emit_lsd_bookkeeping(out, pad, p, tgt, covered)
-                emit_exit(pad, str(tgt), p, cont=True)
+                    self._emit_lsd_bookkeeping(out, pad, p, tgt, covered, ks)
+                emit_exit(pad, tgt, p, cont=True)
                 return
             elif op == 31:  # CALL
                 statics[_T["calls"]] += 1
@@ -952,9 +1060,9 @@ class BlockCache:
                 A(pad + f"    cycles += {SPL}")
                 A(pad + "    cycles += ad(_ln + 1)")
                 statics[_T["stores"]] += 1
-                A(pad + f"mem[sp] = {addr + size}")
+                A(pad + f"mem[sp] = {ks.new(addr + size)}")
                 llr = -1
-                emit_exit(pad, str(tgt), p)
+                emit_exit(pad, tgt, p)
                 return
             elif op == 32:  # RET
                 statics[_T["returns"]] += 1
@@ -964,7 +1072,7 @@ class BlockCache:
                 A(pad + "if _ra is None:")
                 A(
                     pad + "    raise SimulationError(f\"return with corrupt"
-                    " stack at pc=%d (sp={sp:#x})\")" % p
+                    f" stack at pc={{{ks.pc(p)}}} (sp={{sp:#x}})\")"
                 )
                 statics[_T["loads"]] += 1
                 A(pad + "if sp & 7:")
@@ -989,7 +1097,7 @@ class BlockCache:
                 statics[_T["nops"]] += 1
                 llr = -1
             else:  # HALT
-                emit_exit(pad, "None", p)
+                emit_exit(pad, None, p)
                 return
 
             # Non-terminator per-instruction profiling epilogue.
@@ -997,19 +1105,19 @@ class BlockCache:
                 if fcc and pcc_on:
                     A(pad + "_d = cycles - _cb")
                     A(pad + f"fcy[{self._func_of[p]!r}] += _d")
-                    A(pad + f"pcc[{p}] += _d")
+                    A(pad + f"pcc[{ks.pc(p)}] += _d")
                 elif fcc:
                     A(pad + f"fcy[{self._func_of[p]!r}] += cycles - _cb")
                 else:
-                    A(pad + f"pcc[{p}] += cycles - _cb")
+                    A(pad + f"pcc[{ks.pc(p)}] += cycles - _cb")
 
         # Block ended at a leader boundary or the end of the code image:
         # fall through to the next flat index (the driver validates it).
-        emit_exit(pad, str(pcs[-1] + 1), pcs[-1], term_prof=False, cont=True)
+        emit_exit(pad, pcs[-1] + 1, pcs[-1], term_prof=False, cont=True)
 
     def _emit_lsd_bookkeeping(
         self, out: List[str], pad: str, p: int, tgt: int,
-        covered: bool,
+        covered: bool, ks: _Binds,
     ) -> None:
         """Loop-stream-detector streak/activation updates for an
         eligible taken backward transfer at ``p`` (both body variants:
@@ -1018,16 +1126,17 @@ class BlockCache:
         passed and nothing in the body deactivates), so the activation
         attempt is elided there."""
         warm = self.cfg.lsd_warmup
-        out.append(pad + f"if lsd[4] == {p}:")
+        kp = ks.pc(p)
+        out.append(pad + f"if lsd[4] == {kp}:")
         out.append(pad + "    lsd[3] += 1")
         out.append(pad + "else:")
-        out.append(pad + f"    lsd[4] = {p}")
+        out.append(pad + f"    lsd[4] = {kp}")
         out.append(pad + "    lsd[3] = 1")
         if not covered:
             out.append(pad + f"if lsd[3] >= {warm} and not lsd[0]:")
             out.append(pad + "    lsd[0] = 1")
-            out.append(pad + f"    lsd[1] = {tgt}")
-            out.append(pad + f"    lsd[2] = {p}")
+            out.append(pad + f"    lsd[1] = {ks.pc(tgt)}")
+            out.append(pad + f"    lsd[2] = {kp}")
 
 
 #: Registry: Executable -> {MachineConfig: BlockCache}.  Keyed weakly so
@@ -1036,8 +1145,14 @@ _CACHES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 _CACHES_LOCK = threading.Lock()
 
 
-def block_cache_for(exe, cfg: MachineConfig) -> BlockCache:
-    """The (lazily created) block cache for one executable + config."""
+def block_cache_for(
+    exe, cfg: MachineConfig, pool: Optional[CodePool] = None
+) -> BlockCache:
+    """The (lazily created) block cache for one executable + config.
+
+    ``pool`` is the code pool a newly created cache compiles into; an
+    existing cache keeps the pool it was created with.
+    """
     per = _CACHES.get(exe)
     if per is None:
         with _CACHES_LOCK:
@@ -1050,21 +1165,23 @@ def block_cache_for(exe, cfg: MachineConfig) -> BlockCache:
         with _CACHES_LOCK:
             bc = per.get(cfg)
             if bc is None:
-                bc = BlockCache(exe, cfg)
+                bc = BlockCache(exe, cfg, pool)
                 per[cfg] = bc
     return bc
 
 
-def warm(exe, cfg: MachineConfig) -> int:
+def warm(exe, cfg: MachineConfig, pool: Optional[CodePool] = None) -> int:
     """Pre-compile the plain-variant block table for ``exe`` on ``cfg``.
 
     Block compilation is a one-time per-(executable, config) cost that
     would otherwise land inside the first measured run.  Callers that
     build executables ahead of time (:meth:`repro.core.Experiment.build`)
     invoke this so ``engine.run_seconds`` measures simulation, not
-    compilation.  Returns the number of statically compiled blocks.
+    compilation, and pass their ``pool`` so relinks share code.  Warm
+    compiles the blocks the dispatcher can reach (see
+    :class:`BlockCache`) and returns how many it bound.
     """
-    return block_cache_for(exe, cfg).compiled_count(
+    return block_cache_for(exe, cfg, pool).compiled_count(
         (False, False, False, False)
     )
 
@@ -1123,11 +1240,19 @@ def execute_fast(
         est = [eck()]
     predictor = machine.predictor
     ph = [getattr(predictor, "_history", 0)]
+    n = len(exe.ops)
+    # Without a budget, blocks check the instruction cap only between
+    # passes of their chain (against ``lim``), and one pass retires at
+    # most ``n`` instructions.  Within ``n`` of the cap the dispatcher
+    # switches to the budget variant, whose per-instruction checks trap
+    # exactly where the reference does, so a runaway trap leaves the
+    # same machine behind.
+    limit = max_instructions if variant[0] else max_instructions - n
     bind = (
         regs, mem, mem.get,
         hierarchy.access_data, hierarchy.access_instruction,
-        predictor._table, ph,
-        cnt, lsd, bud, max_instructions,
+        exe.addr_to_index.get, predictor._table, ph,
+        cnt, lsd, bud, max_instructions, limit,
         fcy, pcc, epc, ecc, ens, est, eck,
         hierarchy._d_sets, hierarchy._d_mask, hierarchy.l1d,
     )
@@ -1141,33 +1266,39 @@ def execute_fast(
     llr = -1
     cw = -1
     cl = -1
-    n = len(exe.ops)
     pc = exe.entry
-    while True:
-        f = funcs_get(pc)
-        if f is None:
-            if pc < 0 or pc >= n:
-                raise SimulationError(f"pc out of range: {pc}")
-            fac = table_get(pc)
-            if fac is None:
-                fac = cache.factory(pc, variant)
-            f = fac(*bind)
-            funcs[pc] = f
-        nxt, cycles, executed, llr, cw, cl = f(cycles, executed, llr, cw, cl)
-        if executed > max_instructions:
-            raise SimulationError(
-                f"exceeded {max_instructions} instructions (runaway loop?)"
+    cur = variant
+    try:
+        while True:
+            if executed > limit:
+                cur = (True,) + variant[1:]
+                table_get = cache.table(cur).get
+                funcs = {}
+                funcs_get = funcs.get
+                limit = max_instructions
+            f = funcs_get(pc)
+            if f is None:
+                if pc < 0 or pc >= n:
+                    raise SimulationError(f"pc out of range: {pc}")
+                fac = table_get(pc)
+                if fac is None:
+                    fac = cache.factory(pc, cur)
+                f = fac(*bind)
+                funcs[pc] = f
+            nxt, cycles, executed, llr, cw, cl = f(
+                cycles, executed, llr, cw, cl
             )
-        if eprof_on:
-            entries += 1
-        if nxt is None:
-            break
-        pc = nxt
-
-    if hasattr(predictor, "_history"):
-        # Flush the frame-carried gshare history back to the predictor
-        # so machine state after a run matches the reference exactly.
-        predictor._history = ph[0]
+            if eprof_on:
+                entries += 1
+            if nxt is None:
+                break
+            pc = nxt
+    finally:
+        if hasattr(predictor, "_history"):
+            # Flush the frame-carried gshare history back to the
+            # predictor so machine state after a run — or a trap —
+            # matches the reference exactly.
+            predictor._history = ph[0]
     if eprof_on:
         engine_profile.finish(exe)
         engine_profile.note_fastpath(

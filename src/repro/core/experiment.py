@@ -7,7 +7,11 @@ against the workload's Python reference — so a miscompilation can never
 masquerade as a performance result.
 
 Builds and measurements are memoized: sweeping 100 environment sizes
-compiles twice (O2 and O3), not 200 times.
+compiles twice (O2 and O3), not 200 times.  Link order and function
+alignment are link-time choices, so sweeping every link order compiles
+twice too: each (compiler, opt level) is compiled once per experiment
+and only relinked per layout.  Relinks share compiled block code
+through the experiment's :class:`~repro.arch.blockcache.CodePool`.
 """
 
 from __future__ import annotations
@@ -18,10 +22,11 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro import faults
 from repro._errors import BuildError, SimulationError, VerificationError
+from repro.arch import blockcache
 from repro.arch.counters import PerfCounters, RunResult
 from repro.arch.engine import execute, fastpath_enabled
 from repro.core.setup import ExperimentalSetup
-from repro.isa.program import Executable
+from repro.isa.program import Executable, Module
 from repro.obs import metrics as obs_metrics
 from repro.obs import perf as obs_perf
 from repro.obs import trace as obs_trace
@@ -83,6 +88,10 @@ class Experiment:
         self._expected: Optional[int] = None
         self._build_cache: Dict[tuple, Executable] = {}
         self._run_cache: Dict[ExperimentalSetup, Measurement] = {}
+        #: Compiled modules per (compiler, opt level); relinks reuse them.
+        self._modules: Dict[Tuple[str, int], List[Module]] = {}
+        #: Block code shared by this experiment's executables.
+        self._code_pool = blockcache.CodePool()
         #: Optional content-addressed store (see :meth:`attach_store`).
         self._store = None
 
@@ -132,30 +141,18 @@ class Experiment:
             if exe is not None:
                 self._build_cache[key] = exe
         if exe is None:
-            with obs_trace.span(
-                "compile",
-                category="toolchain",
-                workload=self.workload.name,
-                setup=setup.describe(),
-            ):
-                try:
-                    modules = compile_program(
-                        dict(self.workload.sources),
-                        opt_level=setup.opt_level,
-                        profile=setup.compiler,
-                    )
-                    layout = LinkLayout(
-                        function_alignment=setup.function_alignment
-                    )
-                    with obs_trace.span(
-                        "link", category="toolchain", modules=len(modules)
-                    ):
-                        exe = link(modules, order=setup.link_order, layout=layout)
-                except ToolchainError as exc:
-                    raise BuildError(
-                        f"{self.workload.name} at {setup.describe()}: {exc}",
-                        context={"workload": self.workload.name},
-                    ) from exc
+            try:
+                modules = self._compiled(setup)
+                layout = LinkLayout(function_alignment=setup.function_alignment)
+                with obs_trace.span(
+                    "link", category="toolchain", modules=len(modules)
+                ):
+                    exe = link(modules, order=setup.link_order, layout=layout)
+            except ToolchainError as exc:
+                raise BuildError(
+                    f"{self.workload.name} at {setup.describe()}: {exc}",
+                    context={"workload": self.workload.name},
+                ) from exc
             self._build_cache[key] = exe
             obs_metrics.counter("experiment.builds").inc()
             if self._store is not None:
@@ -166,15 +163,37 @@ class Experiment:
             # Pre-compile the engine's block table at build time so the
             # one-time decode-cache cost never lands inside a measured
             # run (idempotent: a warm cache returns immediately).
-            from repro.arch import blockcache
-
             with obs_trace.span(
                 "blockcache-warm",
                 category="toolchain",
                 workload=self.workload.name,
             ):
-                blockcache.warm(exe, setup.machine_config())
+                blockcache.warm(exe, setup.machine_config(), self._code_pool)
         return exe
+
+    def _compiled(self, setup: ExperimentalSetup) -> List[Module]:
+        """The workload's modules for ``setup``'s compiler and opt level.
+
+        Compiled once per experiment: link order and function alignment
+        do not reach the compiler, and :func:`link` copies every
+        instruction it places, so relinks never alter these modules.
+        """
+        key = (setup.compiler, setup.opt_level)
+        modules = self._modules.get(key)
+        if modules is None:
+            with obs_trace.span(
+                "compile",
+                category="toolchain",
+                workload=self.workload.name,
+                setup=setup.describe(),
+            ):
+                modules = compile_program(
+                    dict(self.workload.sources),
+                    opt_level=setup.opt_level,
+                    profile=setup.compiler,
+                )
+            self._modules[key] = modules
+        return modules
 
     # -- running ----------------------------------------------------------
 
@@ -344,10 +363,13 @@ class Experiment:
         return [self.speedup(b, t) for b, t in pairs]
 
     def clear_caches(self) -> None:
-        """Drop memoized builds and runs (used by ablations that mutate
-        global state between sweeps)."""
+        """Drop memoized builds, compiled modules, shared block code and
+        runs (used by ablations that mutate global state between
+        sweeps)."""
         self._build_cache.clear()
         self._run_cache.clear()
+        self._modules.clear()
+        self._code_pool = blockcache.CodePool()
 
     def clear_run_cache(self) -> None:
         """Drop memoized measurements but keep compiled executables

@@ -1,11 +1,38 @@
 """Unit tests: ExperimentalSetup and Experiment."""
 
+import itertools
+
 import pytest
 
 from repro import workloads
-from repro.arch import core2
+from repro.arch import blockcache, core2
+from repro.arch.engine import FASTPATH_ENV
 from repro.core import Experiment, ExperimentalSetup, VerificationError
+from repro.core import experiment as experiment_mod
 from repro.os import Environment
+from repro.toolchain import compile_program
+from repro.toolchain.linker import LinkLayout, link
+
+#: The decode arrays an executable hands the engines.
+DECODE = ("ops", "rds", "ras", "rbs", "imms", "targets", "addrs", "sizes")
+
+
+def _decode(exe):
+    return tuple(getattr(exe, name) for name in DECODE) + (
+        exe.entry,
+        exe.addr_to_index,
+        exe.data_init,
+    )
+
+
+def _instructions(modules):
+    return [
+        (m.name, f.name, b.label, i.op, i.rd, i.ra, i.rb, i.imm, i.target)
+        for m in modules
+        for f in m.functions.values()
+        for b in f.blocks
+        for i in b.instrs
+    ]
 
 
 class TestExperimentalSetup:
@@ -98,9 +125,80 @@ class TestExperiment:
         exp.clear_caches()
         assert exp.run(base_setup) is not None
 
+    def test_clear_caches_drops_modules_and_pool(self, base_setup, monkeypatch):
+        monkeypatch.setenv(FASTPATH_ENV, "1")
+        exp = Experiment(workloads.get("sphinx3"))
+        exp.build(base_setup)
+        pool = exp._code_pool
+        assert exp._modules and pool.bound > 0
+        exp.clear_caches()
+        assert not exp._modules
+        assert exp._code_pool is not pool and exp._code_pool.bound == 0
+
+    def test_experiments_never_share_a_pool(self, base_setup, monkeypatch):
+        monkeypatch.setenv(FASTPATH_ENV, "1")
+        wl = workloads.get("sphinx3")
+        a, b = Experiment(wl), Experiment(wl)
+        assert a._code_pool is not b._code_pool
+        cfg = base_setup.machine_config()
+        for exp in (a, b):
+            exe = exp.build(base_setup)
+            assert blockcache.block_cache_for(exe, cfg)._pool is exp._code_pool
+
     def test_verification_failure_raises(self, base_setup):
         wl = workloads.get("sphinx3")
         exp = Experiment(wl, size="test", seed=0)
         exp._expected = exp.expected + 1  # sabotage the oracle
         with pytest.raises(VerificationError):
             exp.run(base_setup.with_changes(env_bytes=3000))
+
+
+class TestRelinkReuse:
+    """A study's relinks reuse what does not depend on layout: the
+    compiled modules per (compiler, opt level) and the block code."""
+
+    def test_every_layout_compiles_each_opt_level_once(self, monkeypatch):
+        monkeypatch.setenv(FASTPATH_ENV, "1")
+        calls = []
+        real = experiment_mod.compile_program
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["opt_level"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiment_mod, "compile_program", counting)
+        wl = workloads.get("sphinx3")
+        exp = Experiment(wl)
+        names = sorted(wl.sources)
+        fresh_modules = {
+            opt: compile_program(dict(wl.sources), opt_level=opt, profile="gcc")
+            for opt in (2, 3)
+        }
+        for order in itertools.permutations(names):
+            for align in (1, 16):
+                for opt in (2, 3):
+                    exe = exp.build(
+                        ExperimentalSetup(
+                            opt_level=opt,
+                            link_order=order,
+                            function_alignment=align,
+                        )
+                    )
+                    fresh = link(
+                        fresh_modules[opt],
+                        order=order,
+                        layout=LinkLayout(function_alignment=align),
+                    )
+                    assert _decode(exe) == _decode(fresh)
+        assert sorted(calls) == [2, 3]
+        # The relinks' blocks came from one pool, mostly shared.
+        assert 0 < exp._code_pool.compiled < exp._code_pool.bound
+
+    def test_link_leaves_modules_unchanged(self):
+        wl = workloads.get("sphinx3")
+        modules = compile_program(dict(wl.sources), opt_level=2, profile="gcc")
+        before = _instructions(modules)
+        for order in itertools.permutations(m.name for m in modules):
+            for align in (1, 64):
+                link(modules, order=order, layout=LinkLayout(function_alignment=align))
+        assert _instructions(modules) == before

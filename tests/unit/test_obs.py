@@ -16,6 +16,7 @@ import pytest
 from repro import faults, workloads
 from repro.analysis import pc_profile_diff
 from repro.arch import execute, get_machine
+from repro.arch.engine import FASTPATH_ENV
 from repro.core import Experiment, ExperimentalSetup
 from repro.core.errors import ArchiveCorruption
 from repro.core.runner import Journal, RunnerConfig, SweepRunner, sweep_id
@@ -162,6 +163,22 @@ class TestTracer:
         for s in t.spans:
             if s.parent_id is not None:
                 assert s.parent_id in by_id
+
+    def test_relinks_open_no_compile_span(self, monkeypatch):
+        monkeypatch.setenv(FASTPATH_ENV, "1")
+        wl = workloads.get(WORKLOAD)
+        exp = Experiment(wl)
+        names = sorted(wl.sources)
+        t = obs_trace.Tracer(clock=FakeClock())
+        with obs_trace.tracing(t):
+            for order in (names, names[::-1]):
+                exp.build(ExperimentalSetup(link_order=order))
+        count = {}
+        for s in t.spans:
+            count[s.name] = count.get(s.name, 0) + 1
+        # One real compile; one link and one block-cache warm per build.
+        assert count["compile"] == 1
+        assert count["link"] == count["blockcache-warm"] == 2
 
 
 # -- metrics ----------------------------------------------------------------
