@@ -62,6 +62,7 @@ import struct
 import threading
 import time
 import weakref
+from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro import __version__, faults
@@ -86,8 +87,10 @@ from repro.obs import trace as obs_trace
 #: Wire protocol version; the handshake rejects a mismatch loudly
 #: rather than let two releases talk past each other.  v2 added the
 #: agent's ``challenge`` message ahead of the coordinator's ``hello``
-#: (replay-proof challenge-response authentication).
-PROTOCOL_VERSION = 2
+#: (replay-proof challenge-response authentication); v3 has every
+#: ``result`` echo its task frame's ``key`` and ``dispatch``, which the
+#: service's lease pool matches before it accepts a result.
+PROTOCOL_VERSION = 3
 
 #: Frame magic: 4 bytes ahead of every length prefix, so a socket that
 #: drifted out of sync fails fast instead of mis-framing forever.
@@ -332,6 +335,15 @@ class _AgentCrash(Exception):
     """Internal: an injected ``agent_crash`` fired; die like a process."""
 
 
+@dataclass
+class _FrameTask(Task):
+    """A task as an agent received it: ``dispatch`` is the coordinator's
+    dispatch count from the task frame, echoed with ``key`` in the
+    result so the coordinator can tell which lease it answers."""
+
+    dispatch: int = 1
+
+
 class _SessionConfig:
     """Policy knobs for one agent session, parsed from the
     coordinator's ``hello`` (listen mode) or ``registered`` (dial-in
@@ -399,7 +411,6 @@ class AgentServer:
         jobs: int = 1,
         port_file: Optional[str] = None,
         quiet: bool = False,
-        poll_interval: float = 0.05,
         secret: Optional[str] = None,
     ) -> None:
         if jobs < 1:
@@ -409,7 +420,6 @@ class AgentServer:
         self.jobs = jobs
         self.port_file = port_file
         self.quiet = quiet
-        self.poll_interval = poll_interval
         self.secret = secret
         self._listener: Optional[socket.socket] = None
         self._stop = threading.Event()
@@ -694,14 +704,26 @@ class AgentServer:
         plan = session.plan
         heartbeat_interval = session.heartbeat_interval
         inbox: "queue.Queue[Tuple[str, Any]]" = queue.Queue()
+        # The reader rings ``wake`` after every message it queues, so
+        # the loop below blocks in one place — on coordinator messages,
+        # worker events and the next heartbeat together — and acts on
+        # a task frame the moment it lands.
+        wake, ring = (_track(s) for s in socket.socketpair())
+        wake.setblocking(False)
+        ring.setblocking(False)
 
         def read_loop() -> None:
-            while True:
+            alive = True
+            while alive:
                 try:
-                    inbox.put(recv_message(conn))
+                    item = recv_message(conn)
                 except (ProtocolError, EOFError, OSError) as exc:
-                    inbox.put(("closed", {"reason": str(exc)}))
-                    return
+                    item, alive = ("closed", {"reason": str(exc)}), False
+                inbox.put(item)
+                try:
+                    ring.send(b"\0")
+                except OSError:
+                    pass  # already ringing (buffer full) or session over
 
         threading.Thread(target=read_loop, daemon=True).start()
 
@@ -714,23 +736,31 @@ class AgentServer:
             max_respawns=session.max_respawns,
             tracing=session.tracing,
             child_setup=close_inherited_sockets,
+            wake=wake,
         )
         degraded = False
-        last_beat = time.monotonic()
+        next_beat = time.monotonic() + heartbeat_interval
         try:
             with faults.injected_faults(plan):
                 while True:
+                    # Silence the ring before reading the inbox: a
+                    # message queued after this point rings again.
+                    _drain_socket(wake)
                     reason = self._drain_inbox(
                         conn, inbox, pool, plan, degraded
                     )
                     if reason:
                         return reason
-                    event = pool.poll(timeout=self.poll_interval)
+                    event = pool.poll(
+                        timeout=max(0.0, next_beat - time.monotonic())
+                    )
                     if event is None:
-                        time.sleep(self.poll_interval / 4)
+                        # Woken, heartbeat due, or drained: a drained
+                        # pool waits here for the next message or beat.
+                        _readable(wake, next_beat - time.monotonic())
                     elif event.kind == "result":
                         self._send_result(
-                            conn, event.result, event.records
+                            conn, event.task, event.result, event.records
                         )
                     elif event.kind in ("crash", "hang"):
                         obs_metrics.counter(
@@ -751,11 +781,13 @@ class AgentServer:
                         for task in event.tasks:
                             self._run_inline(conn, task)
                     now = time.monotonic()
-                    if now - last_beat >= heartbeat_interval:
+                    if now >= next_beat:
                         send_message(conn, "heartbeat", {})
-                        last_beat = now
+                        next_beat = now + heartbeat_interval
         finally:
             pool.close()
+            wake.close()
+            ring.close()
 
     def _drain_inbox(self, conn, inbox, pool, plan, degraded) -> str:
         """Apply queued coordinator messages; returns the session's end
@@ -774,11 +806,12 @@ class AgentServer:
                     # Die the way a power cut would: no result, no
                     # goodbye, listener gone (handled by serve_forever).
                     raise _AgentCrash(key)
-                task = Task(
+                task = _FrameTask(
                     index=int(data["payload"]["index"]),
                     key=key,
                     attempt=int(data["payload"]["attempt"]),
                     payload=wire_to_payload(data["payload"]),
+                    dispatch=dispatch,
                 )
                 if degraded:
                     self._run_inline(conn, task)
@@ -792,7 +825,7 @@ class AgentServer:
                 return "closed"
             # Unknown kinds are ignored: forward-compatible by default.
 
-    def _run_inline(self, conn: socket.socket, task: Task) -> None:
+    def _run_inline(self, conn: socket.socket, task: "_FrameTask") -> None:
         """Degraded mode: measure on the agent's own thread."""
         if obs_trace.active().enabled:
             tracer = obs_trace.Tracer(label="agent-inline")
@@ -802,11 +835,13 @@ class AgentServer:
         else:
             result = _runner._measure_task(task.payload)
             records = None
-        self._send_result(conn, result, records)
+        self._send_result(conn, task, result, records)
 
     @staticmethod
-    def _send_result(conn, result, records) -> None:
+    def _send_result(conn, task: "_FrameTask", result, records) -> None:
         send_message(conn, "result", {
+            "key": task.key,
+            "dispatch": task.dispatch,
             "outcome": list(result),
             "records": records,
         })
@@ -1110,6 +1145,7 @@ class AgentPool(DispatchPool):
             if self._events:
                 continue
             self._read_links()
+            self._dispatch_queued()  # refill before report
             self._scan_liveness()
             self._try_reconnects()
             if (
@@ -1228,12 +1264,22 @@ class AgentPool(DispatchPool):
                 self._fail_link(link, "hang")
 
 
-def _readable(sock: socket.socket) -> bool:
+def _readable(sock: socket.socket, timeout: float = 0.0) -> bool:
+    """Whether ``sock`` turns readable within ``timeout`` seconds."""
     try:
-        readable, _, _ = select.select([sock], [], [], 0)
+        readable, _, _ = select.select([sock], [], [], max(0.0, timeout))
     except OSError:
         return False
     return bool(readable)
+
+
+def _drain_socket(sock: socket.socket) -> None:
+    """Read and discard whatever a non-blocking socket holds."""
+    try:
+        while sock.recv(4096):
+            pass
+    except OSError:
+        pass  # nothing left (BlockingIOError) or already closed
 
 
 def build_hello(

@@ -29,10 +29,12 @@ the adaptive expiry (the supervisor's deadline policy, shared via
 :func:`~repro.core.supervisor.adaptive_deadline`), or draws the
 ``lease_expire`` chaos kind is requeued **at the same attempt**, so
 infrastructure loss never spends a measurement's retry budget; late
-duplicate results are discarded by attempt identity.  Idle agents steal
-queued-up leases from overloaded ones, and when every agent is gone
-past a grace window the pool degrades honestly — the runner finishes
-the remainder in-process, exactly like the local pools do.
+duplicate results are discarded by attempt and task-key identity.
+Idle agents steal queued-up leases from overloaded ones, and when every
+agent is gone past a grace window the pool degrades honestly — the
+runner finishes the remainder in-process, exactly like the local pools
+do.  Every dispatch pool follows one rule: the executor a result frees
+gets its next setup before the result is reported.
 
 Clients talk to the service over a deliberately small local HTTP/JSON
 API (``repro submit`` / ``repro status``; see docs/service.md):
@@ -385,9 +387,13 @@ class LeasePool(DispatchPool):
       deadline over observed lease durations), or draws the
       ``lease_expire`` chaos kind — and the setup requeues at the head
       of the queue **at the same attempt number**;
-    - results are matched by ``(index, attempt)``: a late duplicate
-      from an expired lease is counted and dropped, so at-least-once
-      dispatch stays exactly-once in the report;
+    - results are matched by ``(index, attempt)`` and the task key the
+      agent echoes: a late duplicate from an expired lease (or from a
+      study that already finished) is counted and dropped, so
+      at-least-once dispatch stays exactly-once in the report;
+    - a collected result's agent gets its next queued setup before
+      :meth:`poll` returns the result (refill before report, as in
+      every dispatch pool);
     - an idle agent steals the newest solely-held lease of any agent
       sitting on more than one, re-dispatching it — first result wins;
     - with work outstanding but no agents at all, the pool waits
@@ -481,6 +487,7 @@ class LeasePool(DispatchPool):
                 item = None
             if item is not None:
                 self._handle(item)
+                self._dispatch_queued()  # refill before report
             if (
                 deadline is not None
                 and not self._events
@@ -650,10 +657,17 @@ class LeasePool(DispatchPool):
         index, attempt = outcome[1], outcome[2]
         link.results += 1
         lease = self._leases.get(index)
-        if lease is None or lease.task.attempt != attempt:
+        if (
+            lease is None
+            or lease.task.attempt != attempt
+            or data.get("key") != lease.task.key
+        ):
             # A lease that expired (or was stolen and already served)
             # still computes; its late twin is dropped by identity —
-            # at-least-once dispatch, exactly-once accounting.
+            # at-least-once dispatch, exactly-once accounting.  The
+            # echoed task key names the measurement, so a twin from a
+            # finished study never lands in the next study's lease on
+            # the same index and attempt.
             obs_metrics.counter("service.duplicate_results").inc()
             return
         self._durations.observe(time.monotonic() - lease.granted)

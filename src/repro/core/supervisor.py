@@ -181,6 +181,10 @@ class DispatchPool:
     - :meth:`poll` returns the next event, or None when the pool is
       drained (nothing queued, nothing in flight) or ``timeout``
       elapses;
+    - refill before report: when :meth:`poll` collects a result, the
+      executor it freed is handed its next queued task *before* the
+      result is returned, so the caller's per-result bookkeeping
+      overlaps the next run instead of delaying it;
     - a failed executor's in-flight tasks are requeued **at the same
       attempt number** — infrastructure failure never consumes a
       measurement's retry budget;
@@ -315,6 +319,11 @@ class SupervisedPool(DispatchPool):
             :func:`repro.core.distributed.close_inherited_sockets`) —
             otherwise a socket the parent closes never reaches EOF at
             the peer while any worker still holds the inherited fd.
+        wake: a readable handle (socket or fd) the parent's own message
+            source rings; :meth:`poll` waits on it beside the workers
+            and returns None as soon as it is readable, so an embedding
+            server blocks in one place and never sleeps through a
+            message.  The caller drains it.
     """
 
     def __init__(
@@ -329,6 +338,7 @@ class SupervisedPool(DispatchPool):
         poll_interval: float = 0.05,
         context=None,
         child_setup: Optional[Callable[[], None]] = None,
+        wake=None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -340,6 +350,7 @@ class SupervisedPool(DispatchPool):
         self.tracing = tracing
         self.poll_interval = poll_interval
         self.child_setup = child_setup
+        self.wake = wake
         self._ctx = context if context is not None else mp.get_context()
         self._heartbeats = self._ctx.Array("d", workers, lock=False)
         #: Rolling window of completed-task wall times (adaptive mode):
@@ -437,10 +448,12 @@ class SupervisedPool(DispatchPool):
         """The next supervision event.
 
         Returns None when the pool is drained — nothing queued, nothing
-        in flight, no buffered events — or when ``timeout`` seconds pass
-        without an event.  Dispatching, result collection, crash/hang
-        detection and respawning all happen inside this call; a caller
-        that stops polling stops supervision.
+        in flight, no buffered events — when ``timeout`` seconds pass
+        without an event, or when the ``wake`` handle fires.
+        Dispatching, result collection, crash/hang detection and
+        respawning all happen inside this call; a caller that stops
+        polling stops supervision.  A worker freed by a result is given
+        its next queued task before that result is returned.
         """
         deadline = (
             None if timeout is None else time.monotonic() + timeout
@@ -455,13 +468,14 @@ class SupervisedPool(DispatchPool):
             self._dispatch_queued()
             if self._events:
                 continue  # a dispatch may have failed a worker
-            self._wait_for_activity()
+            woken = self._wait_for_activity(deadline)
             self._reap_results()
             self._scan_liveness()
-            if (
-                deadline is not None
-                and not self._events
-                and time.monotonic() >= deadline
+            self._dispatch_queued()  # refill before report
+            if self._events:
+                continue
+            if woken or (
+                deadline is not None and time.monotonic() >= deadline
             ):
                 return None
 
@@ -521,17 +535,24 @@ class SupervisedPool(DispatchPool):
             # gets a full hang_timeout for this task.
             self._heartbeats[w.slot] = w.dispatched_at
 
-    def _wait_for_activity(self) -> None:
+    def _wait_for_activity(self, deadline: Optional[float]) -> bool:
+        """Block until a busy worker reports, a worker dies, the wake
+        handle fires, one supervision tick passes or ``deadline``
+        arrives; True when the wake handle fired."""
         handles = [w.conn for w in self._workers if w.task is not None]
         handles += [w.proc.sentinel for w in self._workers]
+        if self.wake is not None:
+            handles.append(self.wake)
         if not handles:
-            return
+            return False
+        wait = min(self.poll_interval, self.heartbeat_interval)
+        if deadline is not None:
+            wait = max(0.0, min(wait, deadline - time.monotonic()))
         try:
-            mp_connection.wait(
-                handles, min(self.poll_interval, self.heartbeat_interval)
-            )
+            ready = mp_connection.wait(handles, wait)
         except OSError:
-            pass
+            return False
+        return self.wake is not None and self.wake in ready
 
     def _reap_results(self) -> None:
         for w in list(self._workers):

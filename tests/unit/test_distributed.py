@@ -5,12 +5,16 @@ TCP agents — with and without injected network chaos (agent crashes,
 partitions, corrupted frames) — produces a report byte-identical to the
 fault-free serial run; a roster with no live agent left degrades
 honestly to local execution; a bad roster fails loudly before any
-measurement; remote spans are grafted under host-qualified aliases; and
-the manifest names every host that served results.
+measurement; remote spans are grafted under host-qualified aliases;
+the manifest names every host that served results; and dispatch is
+event-driven: an agent starts a task frame without waiting on a timer,
+and the coordinator refills a freed agent before it reports.
 """
 
+import contextlib
 import socket
 import threading
+import time
 
 import pytest
 
@@ -18,6 +22,7 @@ from repro import faults, workloads
 from repro.core import Experiment, ExperimentalSetup
 from repro.core import distributed as dist
 from repro.core.runner import RunnerConfig, SweepRunner
+from repro.core.supervisor import Task
 from repro.obs import manifest as obs_manifest
 from repro.obs import trace as obs_trace
 
@@ -66,27 +71,68 @@ def _no_leftover_plan():
     faults.clear()
 
 
+@contextlib.contextmanager
+def lone_agent(jobs, **kwargs):
+    """One loopback agent on an ephemeral port, stopped on exit."""
+    server = dist.AgentServer(jobs=jobs, quiet=True, **kwargs)
+    server.bind()
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.stop()
+        thread.join(timeout=5.0)
+
+
 @pytest.fixture
 def agents():
     """Two loopback agents on ephemeral ports, stopped at teardown."""
-    servers = []
-    threads = []
-    for _ in range(2):
-        server = dist.AgentServer(jobs=2, quiet=True)
-        server.bind()
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        servers.append(server)
-        threads.append(thread)
-    yield servers
-    for server in servers:
-        server.stop()
-    for thread in threads:
-        thread.join(timeout=5.0)
+    with lone_agent(jobs=2) as first, lone_agent(jobs=2) as second:
+        yield [first, second]
 
 
 def hosts_arg(servers):
     return ",".join(f"127.0.0.1:{s.address[1]}" for s in servers)
+
+
+def make_task(index, delay=0.0):
+    """A runner-shaped attempt-1 task for ``SETUPS[index]``."""
+    exp = fresh_experiment()
+    payload = (
+        index, WORKLOAD, exp.size, exp.seed, SETUPS[index], True, 1, None,
+        None, delay,
+    )
+    return Task(index=index, key=keys()[index], attempt=1, payload=payload)
+
+
+def open_session(server):
+    """Handshake with ``server`` as a coordinator would; the caller
+    owns the returned session socket."""
+    sock = socket.create_connection(server.address, timeout=10.0)
+    kind, _ = dist.recv_message(sock)
+    assert kind == "challenge"
+    dist.send_message(sock, "hello", dist.build_hello(None, 0.05, None, 2,
+                                                      False))
+    kind, _ = dist.recv_message(sock)
+    assert kind == "hello_ack"
+    return sock
+
+
+def send_task(sock, task, dispatch=1):
+    dist.send_message(sock, "task", {
+        "key": task.key,
+        "dispatch": dispatch,
+        "payload": dist.payload_to_wire(task.payload),
+    })
+
+
+def recv_result(sock):
+    """The next result frame on a session (heartbeats skipped)."""
+    while True:
+        kind, data = dist.recv_message(sock)
+        if kind == "result":
+            return data
 
 
 def run_sweep(plan=None, hosts=None, **cfg):
@@ -189,6 +235,22 @@ class TestAgentServer:
     def test_jobs_validated(self):
         with pytest.raises(ValueError, match="jobs"):
             dist.AgentServer(jobs=0)
+
+    def test_version_2_coordinator_is_refused_at_the_handshake(self):
+        """Version 3 results echo their task key; a version-2 peer is
+        turned away before any task instead of talking past the agent."""
+        with lone_agent(jobs=1) as server:
+            sock = socket.create_connection(server.address, timeout=10.0)
+            try:
+                _, challenge = dist.recv_message(sock)
+                hello = dist.build_hello(None, 0.05, None, 2, False)
+                hello["protocol"] = 2
+                dist.send_message(sock, "hello", hello)
+                kind, data = dist.recv_message(sock)
+            finally:
+                sock.close()
+        assert challenge["protocol"] == dist.PROTOCOL_VERSION == 3
+        assert kind == "error" and "protocol mismatch" in data["message"]
 
     def test_port_file_written(self, tmp_path):
         port_file = tmp_path / "agent.port"
@@ -316,16 +378,89 @@ class TestDistributedSweep:
         assert reloaded["hosts"] == manifest["hosts"]
 
 
+class TestEventDrivenDispatch:
+    """An agent acts on a task frame as soon as it lands, and the
+    coordinator hands a freed agent its next task before reporting."""
+
+    @pytest.mark.slow
+    def test_idle_agent_takes_each_task_without_a_timer(self):
+        started = time.monotonic()
+        run_sweep()
+        runs = time.monotonic() - started  # the six runs' own time
+        pause = 0.02  # a coordinator's bookkeeping between two setups
+        with lone_agent(jobs=1) as server:
+            # Stretch a timer-driven idle wait (sleeping poll_interval / 4
+            # with an empty pool) to 0.5 s per task, far beyond the runs'
+            # noise, so a regression to one cannot hide.
+            server.poll_interval = 2.0
+            sock = open_session(server)
+            try:
+                started = time.monotonic()
+                for index in range(len(SETUPS)):
+                    send_task(sock, make_task(index))
+                    outcome = recv_result(sock)["outcome"]
+                    assert outcome[:3] == ["ok", index, 1]
+                    time.sleep(pause)
+                elapsed = time.monotonic() - started
+                dist.send_message(sock, "shutdown", {})
+            finally:
+                sock.close()
+        idle = elapsed - runs - len(SETUPS) * pause
+        assert idle < 0.25 * len(SETUPS)
+
+    def test_spare_worker_takes_a_task_while_another_runs(self):
+        slow, quick = make_task(0, delay=1.5), make_task(1)
+        with lone_agent(jobs=2) as server:
+            # Likewise a timer-bounded poll (poll_interval) would park
+            # the quick task until the slow one finishes.
+            server.poll_interval = 2.0
+            sock = open_session(server)
+            try:
+                send_task(sock, slow)
+                # Longer than that stretched idle wait: the slow task is
+                # surely running when the quick one lands.
+                time.sleep(0.6)
+                send_task(sock, quick, dispatch=7)
+                first = recv_result(sock)
+                first_at = time.monotonic()
+                second = recv_result(sock)
+                second_at = time.monotonic()
+                dist.send_message(sock, "shutdown", {})
+            finally:
+                sock.close()
+        assert first["outcome"][1] == quick.index
+        assert second_at - first_at > 0.3
+        # Results echo their task frame's key and dispatch (protocol 3).
+        assert (first["key"], first["dispatch"]) == (quick.key, 7)
+        assert (second["key"], second["dispatch"]) == (slow.key, 1)
+
+    def test_agent_pool_refills_before_it_reports(self):
+        with lone_agent(jobs=1) as server:
+            pool = dist.AgentPool(
+                hosts=[server.address],
+                hello=dist.build_hello(None, 0.05, 2.0, 2, False),
+                heartbeat_interval=0.05,
+                hang_timeout=2.0,
+            )
+            try:
+                first, second = make_task(0), make_task(1)
+                pool.submit(first)
+                pool.submit(second)
+                event = pool.poll(timeout=30.0)
+                assert event.kind == "result" and event.task is first
+                (link,) = pool._links
+                assert link.in_flight == {second.index: second}
+                event = pool.poll(timeout=30.0)
+                assert event.kind == "result" and event.task is second
+            finally:
+                pool.close()
+
+
 class TestAuthentication:
     @pytest.fixture
     def secured_agent(self):
-        server = dist.AgentServer(jobs=2, quiet=True, secret="s3cret")
-        server.bind()
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        yield server
-        server.stop()
-        thread.join(timeout=5.0)
+        with lone_agent(jobs=2, secret="s3cret") as server:
+            yield server
 
     def test_proof_is_not_the_secret_and_is_nonce_bound(self):
         proof = dist.auth_proof("s3cret", "aa" * 16)

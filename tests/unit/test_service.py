@@ -4,13 +4,14 @@ Covers the service acceptance criteria end to end: study specs are
 content-addressed values whose construction matches ``repro study``
 exactly; the study-queue WAL replays, survives torn tails, and compacts
 verifiably; ``repro fsck`` audits and repairs it; the lease pool grants,
-expires, steals, and dedups at-least-once dispatch into exactly-once
-accounting; the HTTP admission path rejects with typed errors and
-survives injected client disconnects; dial-in agent reconnects follow
-the pinned seeded-backoff schedule; and a full in-process service run
-under chaos (one agent crash, injected lease expiries) publishes a
-report byte-identical to the fault-free serial sweep — twice, the
-second client's study fully store-served.
+expires, steals, refills a freed agent before it reports, and dedups
+at-least-once dispatch into exactly-once accounting (by attempt and
+echoed task key, across studies too); the HTTP admission path rejects
+with typed errors and survives injected client disconnects; dial-in
+agent reconnects follow the pinned seeded-backoff schedule; and a full
+in-process service run under chaos (one agent crash, injected lease
+expiries) publishes a report byte-identical to the fault-free serial
+sweep — twice, the second client's study fully store-served.
 """
 
 import dataclasses
@@ -73,7 +74,10 @@ def make_task(index, attempt=1):
 
 
 def result_message(task, attempt=None):
+    """An agent's result frame for ``task`` (it echoes the task key)."""
     return {
+        "key": task.key,
+        "dispatch": 1,
         "outcome": ["measured", task.index,
                     task.attempt if attempt is None else attempt,
                     {"cycles": 1}],
@@ -609,6 +613,78 @@ class TestLeasePool:
         registry.inbox.put(("result", busy, result_message(other)))
         poll_until(pool, "result")
         assert pool.poll() is None
+
+    def test_late_twin_from_a_finished_study_is_dropped(self):
+        """A stolen lease's first agent keeps computing after its study
+        ends.  When that twin lands, the next study may lease the same
+        index at the same attempt; the echoed task key tells them apart,
+        so the twin is never relabelled as the next study's setup."""
+        busy = make_link(1, jobs=2)
+        registry = FakeRegistry([busy])
+        first = make_pool(registry)
+        t0, t1 = make_task(0), make_task(1)
+        first.submit(t0)
+        first.submit(t1)
+        first.poll(timeout=0.05)
+        thief = make_link(2, jobs=2)
+        registry.join(thief)
+        first.poll(timeout=0.05)
+        stolen_index = next(iter(thief.in_flight))
+        stolen = busy.in_flight[stolen_index]
+        other = busy.in_flight[1 - stolen_index]
+        registry.inbox.put(("result", thief, result_message(stolen)))
+        registry.inbox.put(("result", busy, result_message(other)))
+        poll_until(first, "result")
+        poll_until(first, "result")
+        assert first.poll() is None
+        first.close()
+
+        second = make_pool(registry)
+        nxt = [dataclasses.replace(make_task(i), key=f"next-{i}")
+               for i in (0, 1)]
+        for task in nxt:
+            second.submit(task)
+        second.poll(timeout=0.05)
+        assert second._leases[stolen_index].task.attempt == stolen.attempt
+        before = obs_metrics.counter("service.duplicate_results").value
+        registry.inbox.put(("result", busy, result_message(stolen)))
+        assert second.poll(timeout=0.05) is None  # the twin is no result
+        assert obs_metrics.counter(
+            "service.duplicate_results").value == before + 1
+        assert second._leases[stolen_index].task is nxt[stolen_index]
+        for task in nxt:
+            holder = second._leases[task.index].links[0]
+            registry.inbox.put(("result", holder, result_message(task)))
+            event, _ = poll_until(second, "result")
+            assert event.task is task
+        assert second.poll() is None
+
+    def test_refills_a_freed_agent_before_reporting(self):
+        """The agent a result frees is leased its next setup (WAL hook
+        and task frame) before poll returns that result."""
+        link = make_link(1, jobs=1)
+        registry = FakeRegistry([link])
+        leases = []
+        # A long inbox wait makes the result arrive while poll blocks.
+        pool = make_pool(registry, poll_interval=5.0,
+                         on_lease=lambda *a: leases.append(a))
+        t0, t1 = make_task(0), make_task(1)
+        pool.submit(t0)
+        pool.submit(t1)
+        timer = threading.Timer(
+            0.2, registry.inbox.put,
+            args=(("result", link, result_message(t0)),),
+        )
+        timer.start()
+        try:
+            event = pool.poll(timeout=10.0)
+        finally:
+            timer.cancel()
+        assert event.kind == "result" and event.task is t0
+        assert leases == [(0, 1, link.label), (1, 1, link.label)]
+        assert [data["key"] for _, kind, data, _ in registry.sent
+                if kind == "task"] == [t0.key, t1.key]
+        assert link.in_flight == {1: t1}
 
     def test_agentless_pool_degrades_honestly(self):
         registry = FakeRegistry([])

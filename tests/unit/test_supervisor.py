@@ -9,6 +9,8 @@ spans are grafted into the parent trace.
 """
 
 import io
+import socket
+import time
 
 import pytest
 
@@ -78,6 +80,11 @@ def _echo(payload):
     return payload * 2
 
 
+def _nap(seconds):
+    time.sleep(seconds)
+    return seconds
+
+
 class TestSupervisedPool:
     @pytest.mark.slow
     def test_pool_runs_tasks_and_drains(self):
@@ -97,6 +104,38 @@ class TestSupervisedPool:
     def test_worker_count_validated(self):
         with pytest.raises(ValueError, match="workers"):
             SupervisedPool(workers=0, task_fn=_echo)
+
+    def test_refills_a_freed_worker_before_reporting(self):
+        """The worker a result frees already holds the next queued task
+        when poll hands that result to the caller."""
+        first = Task(index=0, key="k0", attempt=1, payload=1)
+        second = Task(index=1, key="k1", attempt=1, payload=2)
+        with SupervisedPool(workers=1, task_fn=_echo) as pool:
+            pool.submit(first)
+            pool.submit(second)
+            event = pool.poll(timeout=30.0)
+            assert event.kind == "result" and event.task is first
+            assert pool._workers[0].task is second
+            event = pool.poll(timeout=30.0)
+            assert event.task is second and event.result == 4
+            assert pool.poll(timeout=30.0) is None
+
+    def test_wake_handle_ends_a_busy_poll(self):
+        """A rung wake handle returns poll early even while a worker is
+        busy, and the busy task still reports afterwards."""
+        wake, ring = socket.socketpair()
+        try:
+            with SupervisedPool(workers=1, task_fn=_nap, wake=wake) as pool:
+                pool.submit(Task(index=0, key="k0", attempt=1, payload=1.0))
+                ring.send(b"\0")
+                assert pool.poll(timeout=30.0) is None
+                assert pool._workers[0].task is not None  # still running
+                wake.recv(16)
+                event = pool.poll(timeout=30.0)
+                assert event.kind == "result" and event.result == 1.0
+        finally:
+            wake.close()
+            ring.close()
 
 
 class TestChaosFailover:
