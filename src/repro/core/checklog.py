@@ -1,0 +1,278 @@
+"""The checksummed append-only log under the journal and the service WAL.
+
+The sweep checkpoint journal (:class:`repro.core.runner.Journal`) and
+the service's study-queue WAL (:class:`repro.core.servicewal.ServiceWAL`)
+are one kind of file: a plain-JSON header line with a format marker and
+a running ``torn_recovered`` count, then one checksummed canonical-JSON
+record per line.  This module owns every rule about it — durable
+appends, dropping torn lines on load, the one verified rewrite, keep-
+policy compaction and fsck's classification — so an owner states only
+its :class:`LogSpec` and, at load time, its identity check.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import json
+import os
+from dataclasses import dataclass
+from typing import IO, Any, Callable, Dict, List, NamedTuple, Optional, Tuple
+
+from repro import storageio
+from repro._errors import ArchiveCorruption, JournalWriteError
+from repro.core.session import canonical_json, record_checksum
+
+
+class Record(NamedTuple):
+    """One valid log line, kept verbatim so rewrites re-emit its bytes;
+    an indexed (measurement) record has ``index`` set, else ``kind``."""
+
+    line: str
+    data: Dict
+    sha256: str
+    index: Optional[int] = None
+    kind: Optional[str] = None
+
+
+@dataclass(frozen=True)
+class LogSpec:
+    """What one owner states about its checksummed log."""
+
+    #: Header ``format`` marker; a log without it is refused.
+    format: str
+    #: What the log is called in messages ("journal", "service WAL").
+    noun: str
+    #: Compaction keep policy: the records a rewrite keeps, in order.
+    keep: Callable[[List[Record]], List[Record]]
+    #: What the keep policy drops, in words (fsck's hygiene finding).
+    stale: str
+    #: Do indexed measurement records belong to this log?
+    indexed: bool = False
+
+
+class Contents(NamedTuple):
+    """A parsed log: header, valid records in file order, torn lines."""
+
+    header: Dict
+    records: List[Record]
+    torn: int
+
+
+class Compaction(NamedTuple):
+    """What one :func:`compact` pass did; owners adapt it to their stats."""
+
+    before: Contents
+    kept: List[Record]
+    bytes_before: int
+    bytes_after: int
+
+
+def encode(
+    data: Dict, *, index: Optional[int] = None, kind: Optional[str] = None
+) -> Tuple[str, str]:
+    """The line for one record (indexed when ``index`` is given, else of
+    ``kind``) and its checksum, computed once."""
+    checksum = record_checksum(data)
+    if index is not None:
+        rec = {"index": index, "measurement": data, "sha256": checksum}
+    else:
+        rec = {"kind": kind, "data": data, "sha256": checksum}
+    return canonical_json(rec), checksum
+
+
+def parse_line(line: str, indexed: bool = True) -> Optional[Record]:
+    """The record on one line — None for a torn, corrupt or blank line,
+    or for an indexed record when ``indexed`` is False."""
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError:
+        return None
+    if not isinstance(rec, dict):
+        return None
+    index, kind = rec.get("index"), rec.get("kind")
+    if indexed and isinstance(index, int) and isinstance(
+        rec.get("measurement"), dict
+    ):
+        data, kind = rec["measurement"], None
+    elif isinstance(kind, str) and isinstance(rec.get("data"), dict):
+        data, index = rec["data"], None
+    else:
+        return None
+    if rec.get("sha256") != record_checksum(data):
+        return None
+    return Record(line, data, rec["sha256"], index, kind)
+
+
+def read(path: str, spec: LogSpec, verb: str = "load") -> Optional[Contents]:
+    """Parse a log without changing it; None for a missing or empty file.
+    A foreign or damaged header raises :class:`ArchiveCorruption` rather
+    than read as an empty log, which would silently drop records.  The
+    returned header's ``torn_recovered`` is always a count."""
+    if not os.path.exists(path):
+        return None
+    with open(path, errors="replace") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        return None
+    try:
+        header = json.loads(lines[0])
+    except json.JSONDecodeError as exc:
+        raise ArchiveCorruption(
+            f"{spec.noun} header is not valid JSON: {exc}", path=path
+        ) from exc
+    if not isinstance(header, dict) or header.get("format") != spec.format:
+        got = header.get("format") if isinstance(header, dict) else header
+        raise ArchiveCorruption(
+            f"not a {spec.format} {spec.noun} (got {got!r}); "
+            f"refusing to {verb}",
+            path=path,
+        )
+    try:
+        torn_before = max(0, int(header.get("torn_recovered") or 0))
+    except (TypeError, ValueError):
+        torn_before = 0
+    header["torn_recovered"] = torn_before
+    records: List[Record] = []
+    torn = 0
+    for line in lines[1:]:
+        rec = parse_line(line, spec.indexed)
+        if rec is not None:
+            records.append(rec)
+        elif line.strip():
+            torn += 1
+    return Contents(header, records, torn)
+
+
+def load(
+    path: str, spec: LogSpec, check: Optional[Callable[[Dict], None]] = None
+) -> Optional[Contents]:
+    """:func:`read`, then the owner's identity ``check`` on the header,
+    then torn-line recovery: a log with torn lines is rewritten without
+    them (the returned header is the rewritten one).  A failed rewrite
+    raises and leaves the log byte-identical."""
+    contents = read(path, spec)
+    if contents is None:
+        return None
+    if check is not None:
+        check(contents.header)
+    if contents.torn:
+        rewrite(path, spec, contents, contents.records)
+    return contents
+
+
+def audit(path: str, spec: LogSpec) -> Optional[Tuple[int, int]]:
+    """fsck's classification: ``(torn lines, stale records)``, where the
+    stale records are the valid ones :func:`compact` drops.  None when
+    the header is damaged, so nothing can be replayed or repaired."""
+    try:
+        contents = read(path, spec, "audit")
+    except ArchiveCorruption:
+        return None
+    if contents is None:
+        return None
+    kept = spec.keep(contents.records)
+    return contents.torn, len(contents.records) - len(kept)
+
+
+def append_line(
+    fh: IO,
+    line: str,
+    *,
+    path: str,
+    key: Optional[str] = None,
+    record: Optional[int] = None,
+) -> None:
+    """Append one line, fsynced before returning.  ``key`` opts into
+    ``disk_full`` and names the ``journal_fsync_stall`` draw (else the
+    path does); failures surface as :class:`JournalWriteError`."""
+    try:
+        if key is not None:
+            storageio.check_disk_full(key, path=path)
+        fh.write(line + "\n")
+        fh.flush()
+        storageio.fsync(fh, key or path)
+    except OSError as exc:
+        raise JournalWriteError(str(exc), path=path, record=record) from exc
+
+
+def open_append(
+    path: str,
+    spec: LogSpec,
+    note: str,
+    torn: int,
+    key: Optional[str] = None,
+    **identity: Any,
+) -> IO:
+    """Open a log for appending.  A new or empty file first gets its
+    header: the format marker, ``note``, the running ``torn`` count and
+    the owner's ``identity`` fields (``key`` as in :func:`append_line`)."""
+    fresh = not os.path.exists(path) or os.path.getsize(path) == 0
+    fh = open(path, "a")
+    if fresh:
+        header = {"format": spec.format, "note": note, "torn_recovered": torn}
+        try:
+            append_line(
+                fh,
+                json.dumps(dict(header, **identity), sort_keys=True),
+                path=path,
+                key=key,
+            )
+        except JournalWriteError:
+            fh.close()
+            raise
+    return fh
+
+
+def rewrite(
+    path: str, spec: LogSpec, contents: Contents, records: List[Record]
+) -> None:
+    """Atomically replace a log with its header and ``records``, raising
+    the header's ``torn_recovered`` by the ``contents.torn`` lines left
+    out.  Temp file, shim fsync (drawn on ``compact:<basename>``), then a
+    full re-read with every checksum checked, so a rewrite whose sync
+    lost its tail is never published.  On any failure the temp file is
+    removed, the original is untouched, and the error is typed."""
+    header = contents.header
+    header["torn_recovered"] += contents.torn
+    tmp = path + ".compact"
+    lines = [json.dumps(header, sort_keys=True)] + [r.line for r in records]
+    try:
+        with open(tmp, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+            fh.flush()
+            storageio.fsync(fh, f"compact:{os.path.basename(path)}")
+        try:
+            back = read(tmp, spec, "verify")
+        except ArchiveCorruption:
+            back = None
+        if back is None or back.torn or len(back.records) != len(records):
+            raise ArchiveCorruption(
+                f"{spec.noun} rewrite failed verification (the re-read "
+                f"lost some of its {len(records)} records); original left "
+                "untouched",
+                path=path,
+            )
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise JournalWriteError(
+            f"{spec.noun} rewrite failed ({exc}); original left untouched",
+            path=path,
+        ) from exc
+    finally:
+        # Renamed away on success; debris from a failure otherwise.
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+
+
+def compact(path: str, spec: LogSpec) -> Compaction:
+    """Rewrite a log down to what ``spec.keep`` keeps, dropping every
+    torn line and raising ``torn_recovered`` by their number."""
+    if not os.path.exists(path):
+        raise ArchiveCorruption(f"{spec.noun} does not exist", path=path)
+    size = os.path.getsize(path)
+    contents = read(path, spec, "compact")
+    if contents is None:
+        raise ArchiveCorruption(f"{spec.noun} is empty", path=path)
+    kept = spec.keep(contents.records)
+    rewrite(path, spec, contents, kept)
+    return Compaction(contents, kept, size, os.path.getsize(path))

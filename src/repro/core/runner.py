@@ -51,7 +51,6 @@ including the supervision paths, via the process-level chaos kinds
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 import threading
@@ -79,7 +78,7 @@ from repro.core.session import (
     setup_to_dict,
 )
 from repro.core.setup import ExperimentalSetup
-from repro.core import supervisor
+from repro.core import checklog, supervisor
 from repro.obs import metrics as obs_metrics
 from repro.obs import perf as obs_perf
 from repro.obs import progress as obs_progress
@@ -400,7 +399,8 @@ class Journal:
     per-record SHA-256) plus the setup's index in the sweep.  Records
     are flushed and fsynced as they land, so a killed sweep loses at
     most the record being written; a truncated trailing line is detected
-    by its checksum, dropped, and the journal compacted on resume.
+    by its checksum and dropped on resume.  The format, its recovery and
+    its compaction live in :mod:`repro.core.checklog`.
     """
 
     def __init__(self, path: str, sweep: str) -> None:
@@ -424,118 +424,36 @@ class Journal:
         Returns {} when the journal does not exist yet.  Raises
         :class:`ArchiveCorruption` when the journal belongs to a
         different sweep or its header is damaged; a corrupt *record*
-        (torn final write) is dropped and the file compacted.
+        (torn final write) is dropped and the file rewritten without it
+        (:func:`repro.core.checklog.load`).
         """
-        if not os.path.exists(self.path):
+        contents = checklog.load(self.path, JOURNAL_LOG, self._check_sweep)
+        if contents is None:
             return {}
-        with open(self.path) as fh:
-            lines = fh.read().splitlines()
-        if not lines:
-            return {}
-        try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError as exc:
-            raise ArchiveCorruption(
-                f"journal header is not valid JSON: {exc}", path=self.path
-            ) from exc
-        if not isinstance(header, dict) or header.get("format") != JOURNAL_FORMAT:
-            raise ArchiveCorruption(
-                f"not a {JOURNAL_FORMAT} journal "
-                f"(got {header.get('format') if isinstance(header, dict) else header!r})",
-                path=self.path,
-            )
+        self.recovered_torn = contents.header["torn_recovered"]
+        self.aux = [
+            {"kind": r.kind, "data": r.data}
+            for r in contents.records
+            if r.index is None
+        ]
+        return {
+            r.index: r.data for r in contents.records if r.index is not None
+        }
+
+    def _check_sweep(self, header: Dict) -> None:
         if header.get("sweep") != self.sweep:
             raise ArchiveCorruption(
                 "journal belongs to a different sweep (workload/input/"
                 "setup list changed); refusing to resume from it",
                 path=self.path,
             )
-        self.recovered_torn = _header_torn_count(header)
-        done: Dict[int, Dict] = {}
-        self.aux = []
-        valid_lines = [lines[0]]
-        dropped = 0
-        for lineno, line in enumerate(lines[1:], start=1):
-            rec = self._parse_record(line)
-            if rec is not None:
-                index, data = rec
-                done[index] = data
-                valid_lines.append(line)
-                continue
-            aux = self._parse_aux(line)
-            if aux is not None:
-                self.aux.append(aux)
-                valid_lines.append(line)
-                continue
-            dropped += 1
-        if dropped:
-            # Compact: rewrite without torn records so later appends
-            # don't land after a corrupt line (atomic replace).  The
-            # header keeps the running recovery count.
-            self.recovered_torn += dropped
-            header["torn_recovered"] = self.recovered_torn
-            valid_lines[0] = json.dumps(header, sort_keys=True)
-            tmp = self.path + ".tmp"
-            with open(tmp, "w") as fh:
-                fh.write("\n".join(valid_lines) + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
-        return done
-
-    @staticmethod
-    def _parse_record(line: str) -> Optional[Tuple[int, Dict]]:
-        """(index, measurement dict) — or None for a torn/corrupt line."""
-        line = line.strip()
-        if not line:
-            return None
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError:
-            return None
-        if not isinstance(rec, dict):
-            return None
-        data = rec.get("measurement")
-        index = rec.get("index")
-        if not isinstance(data, dict) or not isinstance(index, int):
-            return None
-        if rec.get("sha256") != record_checksum(data):
-            return None
-        return index, data
-
-    @staticmethod
-    def _parse_aux(line: str) -> Optional[Dict]:
-        """A checksummed auxiliary record — or None for anything else."""
-        line = line.strip()
-        if not line:
-            return None
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError:
-            return None
-        if not isinstance(rec, dict):
-            return None
-        kind = rec.get("kind")
-        data = rec.get("data")
-        if not isinstance(kind, str) or not isinstance(data, dict):
-            return None
-        if rec.get("sha256") != record_checksum(data):
-            return None
-        return {"kind": kind, "data": data}
 
     # -- writing ----------------------------------------------------------
 
     def open_for_append(self, note: str = "") -> None:
-        fresh = not os.path.exists(self.path) or os.path.getsize(self.path) == 0
-        self._fh = open(self.path, "a")
-        if fresh:
-            header = {
-                "format": JOURNAL_FORMAT,
-                "sweep": self.sweep,
-                "note": note,
-                "torn_recovered": self.recovered_torn,
-            }
-            self._write_line(json.dumps(header, sort_keys=True))
+        self._fh = checklog.open_append(
+            self.path, JOURNAL_LOG, note, self.recovered_torn, sweep=self.sweep
+        )
 
     def append(
         self, index: int, data: Dict, fault_key: Optional[str] = None
@@ -558,12 +476,7 @@ class Journal:
         so a transient tear fires once and clears on the resumed run.
         """
         assert self._fh is not None, "journal not opened for append"
-        rec = {
-            "index": index,
-            "measurement": data,
-            "sha256": record_checksum(data),
-        }
-        line = canonical_json(rec)
+        line, _ = checklog.encode(data, index=index)
         if fault_key is not None and faults.should_inject_at(
             "journal_torn_write", fault_key, self.recovered_torn + 1
         ):
@@ -581,54 +494,22 @@ class Journal:
             self._fh.write(line[: len(line) // 2] + "\n")
             self._fh.flush()
             return
-        self._write_line(line, key=fault_key, record=index)
+        checklog.append_line(
+            self._fh, line, path=self.path, key=fault_key, record=index
+        )
 
     def append_aux(self, kind: str, data: Dict) -> None:
         """Journal a checksummed non-measurement record (e.g. the
         sweep's closing metrics snapshot).  Aux records are preserved
         across resumes and ignored by measurement loading."""
         assert self._fh is not None, "journal not opened for append"
-        rec = {
-            "kind": kind,
-            "data": data,
-            "sha256": record_checksum(data),
-        }
-        self._write_line(canonical_json(rec))
-
-    def _write_line(
-        self, line: str, key: Optional[str] = None, record: Optional[int] = None
-    ) -> None:
-        """One durable journal line through the fault-aware I/O shim.
-
-        Real *and* injected write failures surface as
-        :class:`~repro._errors.JournalWriteError` carrying the journal
-        path and record index — never a raw ``OSError`` traceback.
-        ``key`` (the record's fault key) opts the write into ``disk_full``
-        injection and names the ``journal_fsync_stall`` draw.
-        """
-        assert self._fh is not None
-        try:
-            if key is not None:
-                storageio.check_disk_full(key, path=self.path)
-            self._fh.write(line + "\n")
-            self._fh.flush()
-            storageio.fsync(self._fh, key or self.path)
-        except OSError as exc:
-            raise JournalWriteError(
-                str(exc), path=self.path, record=record
-            ) from exc
+        line, _ = checklog.encode(data, kind=kind)
+        checklog.append_line(self._fh, line, path=self.path)
 
     def close(self) -> None:
         if self._fh is not None:
             self._fh.close()
             self._fh = None
-
-
-def _header_torn_count(header: Dict) -> int:
-    try:
-        return max(0, int(header.get("torn_recovered", 0) or 0))
-    except (TypeError, ValueError):
-        return 0
 
 
 class MemoryJournal:
@@ -818,6 +699,24 @@ def journal_needs_compaction(
     return False
 
 
+def _keep_latest(records: List[checklog.Record]) -> List[checklog.Record]:
+    """The journal's keep policy: the latest record per setup index (by
+    index), then the latest aux record per kind (by kind)."""
+    latest = {r.index: r for r in records if r.index is not None}
+    aux = {r.kind: r for r in records if r.index is None}
+    return [latest[i] for i in sorted(latest)] + [aux[k] for k in sorted(aux)]
+
+
+#: The journal as a :mod:`repro.core.checklog` log.
+JOURNAL_LOG = checklog.LogSpec(
+    format=JOURNAL_FORMAT,
+    noun="journal",
+    keep=_keep_latest,
+    stale="superseded duplicates from earlier resumed runs",
+    indexed=True,
+)
+
+
 def compact_journal(path: str) -> CompactionStats:
     """Atomically rewrite a journal down to its resume-relevant content.
 
@@ -830,106 +729,23 @@ def compact_journal(path: str) -> CompactionStats:
 
     The rewrite is crash-safe and verified: the compacted journal is
     written to a temp file, fsynced, re-read with every checksum
-    re-verified, and only then moved over the original with
-    ``os.replace``.  On any verification failure the original journal is
-    left untouched.
+    re-verified, and only then renamed over the original.  On any
+    failure the original journal is left untouched (a typed error).
     """
-    if not os.path.exists(path):
-        raise ArchiveCorruption("journal does not exist", path=path)
-    bytes_before = os.path.getsize(path)
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ArchiveCorruption("journal is empty", path=path)
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise ArchiveCorruption(
-            f"journal header is not valid JSON: {exc}", path=path
-        ) from exc
-    if not isinstance(header, dict) or header.get("format") != JOURNAL_FORMAT:
-        raise ArchiveCorruption(
-            f"not a {JOURNAL_FORMAT} journal; refusing to compact",
-            path=path,
-        )
-    latest: Dict[int, str] = {}
-    latest_aux: Dict[str, str] = {}
-    records_before = aux_before = dropped = 0
-    for line in lines[1:]:
-        rec = Journal._parse_record(line)
-        if rec is not None:
-            records_before += 1
-            latest[rec[0]] = line
-            continue
-        aux = Journal._parse_aux(line)
-        if aux is not None:
-            aux_before += 1
-            latest_aux[aux["kind"]] = line
-            continue
-        if line.strip():
-            dropped += 1
-    header["torn_recovered"] = _header_torn_count(header) + dropped
-    out = [json.dumps(header, sort_keys=True)]
-    out += [latest[index] for index in sorted(latest)]
-    out += [latest_aux[kind] for kind in sorted(latest_aux)]
-    tmp = path + ".compact"
-    with open(tmp, "w") as fh:
-        fh.write("\n".join(out) + "\n")
-        fh.flush()
-        # Through the shim: an injected journal_fsync_stall delays the
-        # sync, and the verification re-read below guarantees a rewrite
-        # whose sync never completed can't be published over the
-        # original.
-        storageio.fsync(fh, f"compact:{os.path.basename(path)}")
-    _verify_compacted_journal(tmp, len(latest), len(latest_aux))
-    os.replace(tmp, path)
+    done = checklog.compact(path, JOURNAL_LOG)
+    before = done.before.records
+    records_before = sum(1 for r in before if r.index is not None)
+    records_after = sum(1 for r in done.kept if r.index is not None)
     return CompactionStats(
         path=path,
-        bytes_before=bytes_before,
-        bytes_after=os.path.getsize(path),
+        bytes_before=done.bytes_before,
+        bytes_after=done.bytes_after,
         records_before=records_before,
-        records_after=len(latest),
-        aux_before=aux_before,
-        aux_after=len(latest_aux),
-        dropped_corrupt=dropped,
+        records_after=records_after,
+        aux_before=len(before) - records_before,
+        aux_after=len(done.kept) - records_after,
+        dropped_corrupt=done.before.torn,
     )
-
-
-def _verify_compacted_journal(
-    tmp: str, expect_records: int, expect_aux: int
-) -> None:
-    """Integrity re-read before the atomic swap: every line must parse
-    and every checksum must hold, or the original stays untouched."""
-    with open(tmp) as fh:
-        lines = fh.read().splitlines()
-    problems: List[str] = []
-    try:
-        header = json.loads(lines[0]) if lines else None
-    except json.JSONDecodeError:
-        header = None
-    if not isinstance(header, dict) or header.get("format") != JOURNAL_FORMAT:
-        problems.append("header failed to re-parse")
-    ok_records = ok_aux = 0
-    for line in lines[1:]:
-        if Journal._parse_record(line) is not None:
-            ok_records += 1
-        elif Journal._parse_aux(line) is not None:
-            ok_aux += 1
-        else:
-            problems.append("a rewritten line failed its checksum")
-    if ok_records != expect_records or ok_aux != expect_aux:
-        problems.append(
-            f"expected {expect_records} records + {expect_aux} aux, "
-            f"re-read {ok_records} + {ok_aux}"
-        )
-    if problems:
-        os.remove(tmp)
-        raise ArchiveCorruption(
-            "journal compaction failed verification ("
-            + "; ".join(sorted(set(problems)))
-            + "); original left untouched",
-            path=tmp,
-        )
 
 
 # -- worker side ------------------------------------------------------------
@@ -1206,13 +1022,23 @@ class SweepRunner:
                     self.config.journal_max_bytes,
                 )
             ):
-                stats = compact_journal(journal.path)
-                obs_trace.instant(
-                    "journal_compacted",
-                    category="runner",
-                    records=stats.records_after,
-                    bytes=stats.bytes_after,
-                )
+                try:
+                    stats = compact_journal(journal.path)
+                except ReproError as exc:
+                    # The uncompacted journal is still valid and resumes
+                    # with zero re-measurement; only its hygiene failed.
+                    report.degraded = True
+                    report.degraded_storage.append(
+                        f"journal compaction failed; kept the uncompacted "
+                        f"journal: {exc}"
+                    )
+                else:
+                    obs_trace.instant(
+                        "journal_compacted",
+                        category="runner",
+                        records=stats.records_after,
+                        bytes=stats.bytes_after,
+                    )
 
             report.statuses = [
                 "resumed"

@@ -29,15 +29,13 @@ re-dispatches (the content-addressed store makes the re-run free for
 every setup that already completed, which is what keeps the recovered
 report byte-identical to an uninterrupted run).
 
-File format: line 1 is a plain-JSON header carrying
-:data:`WAL_FORMAT`; every following line is the checkpoint journal's
-checksummed *aux* record shape — ``{"kind", "data", "sha256"}`` in
-canonical JSON — so the journal's parser, compaction discipline, and
-fsck tooling all apply unchanged.  Appends are durable (fsync through
-the :mod:`repro.storageio` shim) before :meth:`ServiceWAL.append`
-returns; a torn tail from a crash mid-append is detected by its
-checksum, dropped, counted in the header, and compacted away exactly
-like a torn journal record.
+File format: a :mod:`repro.core.checklog` log like the checkpoint
+journal — a plain-JSON header carrying :data:`WAL_FORMAT`, then one
+checksummed ``{"kind", "data", "sha256"}`` record per line — so its
+durable appends (fsynced before :meth:`ServiceWAL.append` returns),
+torn-tail recovery, verified compaction and fsck audit are the
+journal's own: a torn tail from a crash mid-append is detected by its
+checksum, dropped, counted in the header, and rewritten away.
 
 Chaos: the ``coordinator_crash`` fault kind fires *after* a record's
 durable append and SIGKILLs the process — the WAL's whole recovery
@@ -50,17 +48,14 @@ when the restarted coordinator re-appends the same transition.
 from __future__ import annotations
 
 import collections
-import json
 import os
 import signal
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
-from repro import faults, storageio
-from repro._errors import ArchiveCorruption, JournalWriteError
-from repro.core.runner import Journal, _header_torn_count
-from repro.core.session import canonical_json, record_checksum
+from repro import faults
+from repro.core import checklog
 
 #: WAL header marker (first line of the file); the fsck classifier and
 #: :func:`compact_wal` both key on it.
@@ -138,57 +133,23 @@ class ServiceWAL:
             counts={kind: 0 for kind in WAL_KINDS},
             torn_dropped=0,
         )
-        if not os.path.exists(self.path):
+        contents = checklog.load(self.path, WAL_LOG)
+        if contents is None:
             return state
-        with open(self.path) as fh:
-            lines = fh.read().splitlines()
-        if not lines:
-            return state
-        header = _parse_header(lines[0], self.path)
-        self.recovered_torn = _header_torn_count(header)
-        valid_lines = [lines[0]]
-        dropped = 0
-        for line in lines[1:]:
-            rec = Journal._parse_aux(line)
-            if rec is None:
-                if line.strip():
-                    dropped += 1
-                continue
-            valid_lines.append(line)
-            self._appends[record_checksum(rec["data"])] += 1
-            _apply(state, rec["kind"], rec["data"])
-        if dropped:
-            # Compact in place (atomic replace) so later appends never
-            # land after a corrupt line; the header keeps the running
-            # recovery count, mirroring the journal's torn-tail story.
-            self.recovered_torn += dropped
-            state.torn_dropped = dropped
-            header["torn_recovered"] = self.recovered_torn
-            valid_lines[0] = json.dumps(header, sort_keys=True)
-            tmp = self.path + ".tmp"
-            with open(tmp, "w") as fh:
-                fh.write("\n".join(valid_lines) + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
+        self.recovered_torn = contents.header["torn_recovered"]
+        state.torn_dropped = contents.torn
+        for rec in contents.records:
+            self._appends[rec.sha256] += 1
+            _apply(state, rec.kind, rec.data)
         return state
 
     # -- writing ----------------------------------------------------------
 
     def open_for_append(self, note: str = "") -> None:
         """Open (creating the header if the file is fresh)."""
-        fresh = (
-            not os.path.exists(self.path)
-            or os.path.getsize(self.path) == 0
+        self._fh = checklog.open_append(
+            self.path, WAL_LOG, note, self.recovered_torn, key=self.path
         )
-        self._fh = open(self.path, "a")
-        if fresh:
-            header = {
-                "format": WAL_FORMAT,
-                "note": note,
-                "torn_recovered": self.recovered_torn,
-            }
-            self._write_line(json.dumps(header, sort_keys=True))
 
     def append(self, kind: str, data: Dict) -> None:
         """Durably log one queue transition (fsynced before returning).
@@ -200,13 +161,12 @@ class ServiceWAL:
         """
         if kind not in WAL_KINDS:
             raise ValueError(f"unknown WAL record kind {kind!r}")
-        checksum = record_checksum(data)
-        line = canonical_json(
-            {"kind": kind, "data": data, "sha256": checksum}
-        )
+        line, checksum = checklog.encode(data, kind=kind)
         with self._lock:
             assert self._fh is not None, "WAL not opened for append"
-            self._write_line(line, key=f"wal:{kind}")
+            checklog.append_line(
+                self._fh, line, path=self.path, key=f"wal:{kind}"
+            )
             self._appends[checksum] += 1
             attempt = self._appends[checksum]
         if faults.should_inject_at(
@@ -214,17 +174,6 @@ class ServiceWAL:
         ):
             # Die the way a power cut would: no atexit, no flushing.
             os.kill(os.getpid(), signal.SIGKILL)
-
-    def _write_line(self, line: str, key: Optional[str] = None) -> None:
-        """One durable line through the fault-aware I/O shim; failures
-        surface as :class:`~repro._errors.JournalWriteError`."""
-        assert self._fh is not None
-        try:
-            storageio.durable_append_line(
-                self._fh, line, key or self.path, path=self.path
-            )
-        except OSError as exc:
-            raise JournalWriteError(str(exc), path=self.path) from exc
 
     def close(self) -> None:
         """Close the append handle (the file stays valid at any point)."""
@@ -235,21 +184,6 @@ class ServiceWAL:
 
 
 # -- replay internals --------------------------------------------------------
-
-
-def _parse_header(line: str, path: str) -> Dict:
-    try:
-        header = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ArchiveCorruption(
-            f"service WAL header is not valid JSON: {exc}", path=path
-        ) from exc
-    if not isinstance(header, dict) or header.get("format") != WAL_FORMAT:
-        raise ArchiveCorruption(
-            f"not a {WAL_FORMAT} write-ahead log; refusing to load",
-            path=path,
-        )
-    return header
 
 
 def _apply(state: WalState, kind: str, data: Dict) -> None:
@@ -286,6 +220,49 @@ def _apply(state: WalState, kind: str, data: Dict) -> None:
 # -- compaction --------------------------------------------------------------
 
 
+def _replayable(rec: checklog.Record) -> bool:
+    """Could compaction keep this record?  Never for lease and requeue
+    records (resolved promises), unknown kinds or malformed records."""
+    if not isinstance(rec.data.get("study"), str):
+        return False
+    if rec.kind == "complete":
+        return isinstance(rec.data.get("index"), int)
+    return rec.kind in ("submit", "done")
+
+
+def _keep_replay(records: List[checklog.Record]) -> List[checklog.Record]:
+    """The WAL's keep policy: per study in submission order, the first
+    ``submit`` record, then its last ``done`` record or — while the
+    study is unfinished — the latest ``complete`` record per index."""
+    submits: Dict[str, checklog.Record] = {}
+    dones: Dict[str, checklog.Record] = {}
+    completes: Dict[str, Dict[int, checklog.Record]] = {}
+    for rec in filter(_replayable, records):
+        study = rec.data["study"]
+        if rec.kind == "submit":
+            submits.setdefault(study, rec)
+        elif rec.kind == "done":
+            dones[study] = rec
+        else:
+            completes.setdefault(study, {})[rec.data["index"]] = rec
+    kept: List[checklog.Record] = []
+    for study, submit in submits.items():
+        by_index = completes.get(study, {})
+        ends = [by_index[i] for i in sorted(by_index)]
+        kept += [submit] + ([dones[study]] if study in dones else ends)
+    return kept
+
+
+#: The WAL as a :mod:`repro.core.checklog` log (fsck and compaction).
+WAL_LOG = checklog.LogSpec(
+    format=WAL_FORMAT,
+    noun="service WAL",
+    keep=_keep_replay,
+    stale="lease/requeue records of past coordinator incarnations and "
+    "completions subsumed by a done record",
+)
+
+
 @dataclass(frozen=True)
 class WalCompactionStats:
     """What one :func:`compact_wal` pass did."""
@@ -312,7 +289,7 @@ class WalCompactionStats:
 
 def compact_wal(path: str) -> WalCompactionStats:
     """Atomically rewrite a service WAL down to its replay-relevant
-    content (the journal's verified-compaction discipline, reused).
+    content (the journal's verified compaction, reused).
 
     A long-lived queue log accumulates stale state: lease and requeue
     records are promises of a coordinator that has since resolved them,
@@ -323,101 +300,19 @@ def compact_wal(path: str) -> WalCompactionStats:
     and drops every lease/requeue line and everything corrupt, bumping
     the header's ``torn_recovered`` by the corrupt lines dropped.
 
-    Crash-safe and verified exactly like
-    :func:`repro.core.runner.compact_journal`: temp file, shim fsync,
-    full re-read with every checksum re-verified, then ``os.replace``;
-    on any verification failure the original is left untouched.
+    Crash-safe and verified (:func:`repro.core.checklog.rewrite`): temp
+    file, shim fsync, full re-read with every checksum re-verified, then
+    an atomic rename; on any failure the original is left untouched.
     """
-    if not os.path.exists(path):
-        raise ArchiveCorruption("service WAL does not exist", path=path)
-    bytes_before = os.path.getsize(path)
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ArchiveCorruption("service WAL is empty", path=path)
-    header = _parse_header(lines[0], path)
-
-    submits: "collections.OrderedDict[str, str]" = collections.OrderedDict()
-    dones: Dict[str, str] = {}
-    completes: Dict[str, Dict[int, str]] = {}
-    records_before = stale = dropped = 0
-    for line in lines[1:]:
-        rec = Journal._parse_aux(line)
-        if rec is None:
-            if line.strip():
-                dropped += 1
-            continue
-        records_before += 1
-        kind, data = rec["kind"], rec["data"]
-        study = data.get("study")
-        if not isinstance(study, str):
-            stale += 1
-            continue
-        if kind == "submit":
-            submits.setdefault(study, line)
-        elif kind == "done":
-            dones[study] = line
-        elif kind == "complete":
-            index = data.get("index")
-            if isinstance(index, int):
-                completes.setdefault(study, {})[index] = line
-            else:
-                stale += 1
-        else:  # lease / requeue / unknown: resolved promises, drop
-            stale += 1
-
-    header["torn_recovered"] = _header_torn_count(header) + dropped
-    out = [json.dumps(header, sort_keys=True)]
-    for study, submit_line in submits.items():
-        out.append(submit_line)
-        if study in dones:
-            out.append(dones[study])
-        else:
-            by_index = completes.get(study, {})
-            out.extend(by_index[i] for i in sorted(by_index))
-    expected = len(out) - 1
-
-    tmp = path + ".compact"
-    with open(tmp, "w") as fh:
-        fh.write("\n".join(out) + "\n")
-        fh.flush()
-        storageio.fsync(fh, f"compact:{os.path.basename(path)}")
-    _verify_compacted_wal(tmp, expected)
-    os.replace(tmp, path)
+    done = checklog.compact(path, WAL_LOG)
     return WalCompactionStats(
         path=path,
-        bytes_before=bytes_before,
-        bytes_after=os.path.getsize(path),
-        records_before=records_before,
-        records_after=expected,
-        stale_leases_dropped=stale,
-        dropped_corrupt=dropped,
+        bytes_before=done.bytes_before,
+        bytes_after=done.bytes_after,
+        records_before=len(done.before.records),
+        records_after=len(done.kept),
+        stale_leases_dropped=sum(
+            1 for r in done.before.records if not _replayable(r)
+        ),
+        dropped_corrupt=done.before.torn,
     )
-
-
-def _verify_compacted_wal(tmp: str, expect_records: int) -> None:
-    """Integrity re-read before the atomic swap: every line must parse
-    and every checksum must hold, or the original stays untouched."""
-    with open(tmp) as fh:
-        lines = fh.read().splitlines()
-    problems: List[str] = []
-    try:
-        header = json.loads(lines[0]) if lines else None
-    except json.JSONDecodeError:
-        header = None
-    if not isinstance(header, dict) or header.get("format") != WAL_FORMAT:
-        problems.append("header failed to re-parse")
-    ok = sum(1 for line in lines[1:] if Journal._parse_aux(line) is not None)
-    if ok != expect_records or ok != len(lines) - 1:
-        problems.append(
-            f"expected {expect_records} records, re-read {ok} "
-            f"of {len(lines) - 1} lines"
-        )
-    if problems:
-        os.remove(tmp)
-        raise ArchiveCorruption(
-            "WAL compaction failed verification ("
-            + "; ".join(sorted(set(problems)))
-            + "); original left untouched",
-            path=tmp,
-        )

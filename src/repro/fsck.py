@@ -27,8 +27,8 @@ manifest     schema violations, artifact checksum   none — provenance is
                                                     forged
 service-wal  torn/corrupt lines, stale lease and    verified atomic
              requeue records from dead              compaction
-             coordinator incarnations               (:func:`repro.core.
-                                                    servicewal.
+             coordinator incarnations, completions  (:func:`repro.core.
+             subsumed by a study's ``done``         servicewal.
                                                     compact_wal`)
 ===========  =====================================  ====================
 
@@ -44,7 +44,10 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
+
+if TYPE_CHECKING:
+    from repro.core.checklog import LogSpec
 
 __all__ = [
     "FSCK_FORMAT",
@@ -211,86 +214,12 @@ def classify(path: str) -> Optional[str]:
 
 def fsck_journal(path: str, repair: bool) -> List[FsckFinding]:
     """Audit one checkpoint journal: torn/corrupt lines and stale
-    duplicates.  Repair is the runner's own verified atomic compaction
-    (:func:`repro.core.runner.compact_journal`), so a healed journal is
-    bit-for-bit what a resumed sweep would have produced itself."""
-    from repro.core.runner import JOURNAL_FORMAT, Journal, compact_journal
+    duplicates.  Repair is the runner's own verified atomic compaction,
+    so a healed journal is bit-for-bit what
+    :func:`repro.core.runner.compact_journal` would have produced."""
+    from repro.core.runner import JOURNAL_LOG
 
-    findings: List[FsckFinding] = []
-    with open(path, errors="replace") as fh:
-        lines = fh.read().splitlines()
-    header: Optional[Dict[str, Any]] = None
-    if lines:
-        try:
-            parsed = json.loads(lines[0])
-            if isinstance(parsed, dict) and parsed.get("format") == JOURNAL_FORMAT:
-                header = parsed
-        except json.JSONDecodeError:
-            header = None
-    if header is None:
-        findings.append(
-            FsckFinding(
-                path,
-                "journal",
-                "header is damaged; the sweep id is lost and the journal "
-                "cannot be compacted or resumed",
-                repairable=False,
-            )
-        )
-        return findings
-    torn = 0
-    seen: Dict[int, int] = {}
-    aux_seen: Dict[str, int] = {}
-    for line in lines[1:]:
-        rec = Journal._parse_record(line)
-        if rec is not None:
-            seen[rec[0]] = seen.get(rec[0], 0) + 1
-            continue
-        aux = Journal._parse_aux(line)
-        if aux is not None:
-            kind = aux["kind"]
-            aux_seen[kind] = aux_seen.get(kind, 0) + 1
-            continue
-        if line.strip():
-            torn += 1
-    duplicates = sum(n - 1 for n in seen.values()) + sum(
-        n - 1 for n in aux_seen.values()
-    )
-    if torn:
-        findings.append(
-            FsckFinding(
-                path,
-                "journal",
-                f"{torn} torn/corrupt line(s) (crash or power loss "
-                "mid-append); the affected records are lost",
-            )
-        )
-    if duplicates:
-        findings.append(
-            FsckFinding(
-                path,
-                "journal",
-                f"{duplicates} stale duplicate record(s) from earlier "
-                "resumed runs",
-                severity=HYGIENE,
-            )
-        )
-    if repair and (torn or duplicates):
-        stats = compact_journal(path)
-        for f in findings:
-            f.repaired = True
-        findings.append(
-            FsckFinding(
-                path,
-                "journal",
-                f"compacted: {stats.records_before} -> "
-                f"{stats.records_after} records, dropped "
-                f"{stats.dropped_corrupt} corrupt line(s)",
-                severity=HYGIENE,
-                repaired=True,
-            )
-        )
-    return findings
+    return _fsck_log(path, repair, "journal", JOURNAL_LOG)
 
 
 def fsck_archive(path: str, repair: bool) -> List[FsckFinding]:
@@ -506,82 +435,77 @@ def fsck_wal(path: str, repair: bool) -> List[FsckFinding]:
     Torn or corrupt lines (a coordinator SIGKILLed mid-append) are
     damage — each one is a single lost queue transition the service's
     at-least-once dispatch re-derives, but an operator should still see
-    it.  Lease and requeue records in a WAL *at rest* are hygiene: they
-    are dispatch state of coordinator incarnations that no longer exist
-    (a restart re-derives every lease), and a long-lived queue log
-    accumulates them without bound.  Repair for both is the service's
-    own verified atomic compaction
+    it.  Stale records are hygiene: lease and requeue records are
+    dispatch state of coordinator incarnations that no longer exist (a
+    restart re-derives every lease), and a finished study's completions
+    are subsumed by its ``done`` record.  Repair is the service's own
+    verified atomic compaction
     (:func:`repro.core.servicewal.compact_wal`), which keeps exactly
     the replay-relevant records: each study's submission, then its
     ``done`` record or latest per-setup completions.
     """
-    from repro.core.runner import Journal
-    from repro.core.servicewal import WAL_FORMAT, WAL_KINDS, compact_wal
+    from repro.core.servicewal import WAL_LOG
 
-    findings: List[FsckFinding] = []
-    with open(path, errors="replace") as fh:
-        lines = fh.read().splitlines()
-    header: Optional[Dict[str, Any]] = None
-    if lines:
-        try:
-            parsed = json.loads(lines[0])
-            if isinstance(parsed, dict) and parsed.get("format") == WAL_FORMAT:
-                header = parsed
-        except json.JSONDecodeError:
-            header = None
-    if header is None:
-        findings.append(
+    return _fsck_log(path, repair, "service-wal", WAL_LOG)
+
+
+def _fsck_log(
+    path: str, repair: bool, kind: str, spec: "LogSpec"
+) -> List[FsckFinding]:
+    """The one audit of a journal or WAL (:mod:`repro.core.checklog`):
+    torn lines are damage; stale records — exactly what the repair's
+    verified compaction drops — are hygiene.  A failed repair leaves the
+    log as it was and is unrepaired damage on this path."""
+    from repro._errors import ReproError
+    from repro.core import checklog
+
+    audit = checklog.audit(path, spec)
+    if audit is None:
+        return [
             FsckFinding(
                 path,
-                "service-wal",
-                "header is damaged; the study queue cannot be replayed "
-                "or compacted",
+                kind,
+                f"header is damaged; the {spec.noun} cannot be replayed, "
+                "resumed or compacted",
                 repairable=False,
             )
-        )
-        return findings
-    torn = 0
-    counts = {kind: 0 for kind in WAL_KINDS}
-    for line in lines[1:]:
-        rec = Journal._parse_aux(line)
-        if rec is None:
-            if line.strip():
-                torn += 1
-            continue
-        kind = rec.get("kind")
-        if kind in counts:
-            counts[kind] += 1
-    stale = counts["lease"] + counts["requeue"]
+        ]
+    torn, stale = audit
+    findings: List[FsckFinding] = []
     if torn:
         findings.append(
             FsckFinding(
                 path,
-                "service-wal",
-                f"{torn} torn/corrupt line(s) (coordinator killed "
-                "mid-append); each is one lost queue transition that "
-                "dispatch re-derives on restart",
+                kind,
+                f"{torn} torn/corrupt line(s) (crash or power loss "
+                "mid-append); the affected records are lost",
             )
         )
     if stale:
         findings.append(
             FsckFinding(
                 path,
-                "service-wal",
-                f"{stale} stale lease/requeue record(s) from past "
-                "coordinator incarnations (dispatch state is re-derived "
-                "on restart)",
+                kind,
+                f"{stale} stale record(s) that compaction drops: "
+                f"{spec.stale}",
                 severity=HYGIENE,
             )
         )
-    if repair and (torn or stale):
-        stats = compact_wal(path)
+    if repair and findings:
+        try:
+            done = checklog.compact(path, spec)
+        except ReproError as exc:
+            findings.append(FsckFinding(path, kind, f"repair failed: {exc}"))
+            return findings
         for f in findings:
             f.repaired = True
         findings.append(
             FsckFinding(
                 path,
-                "service-wal",
-                stats.summary_line(),
+                kind,
+                f"compacted: {len(done.before.records)} -> "
+                f"{len(done.kept)} records, dropped {done.before.torn} "
+                "corrupt line(s)",
                 severity=HYGIENE,
                 repaired=True,
             )

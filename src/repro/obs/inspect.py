@@ -15,6 +15,7 @@ Backs the ``repro obs`` CLI and ``tools/validate_trace.py``:
 from __future__ import annotations
 
 import json
+from collections import Counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.manifest import MANIFEST_FORMAT, validate_manifest
@@ -427,7 +428,8 @@ def validate_journal(data: Dict[str, Any]) -> List[str]:
     that ``repro journal compact`` would fold away); both are recoverable
     — resume drops them — but a clean journal has neither.
     """
-    from repro.core.runner import JOURNAL_FORMAT, Journal
+    from repro.core.checklog import parse_line
+    from repro.core.runner import JOURNAL_FORMAT
 
     j = data.get("journal") or {}
     header = j.get("header") or {}
@@ -444,55 +446,42 @@ def validate_journal(data: Dict[str, Any]) -> List[str]:
     for lineno, line in enumerate(j.get("lines") or [], start=2):
         if not line.strip():
             continue
-        rec = Journal._parse_record(line)
-        if rec is not None:
-            if rec[0] in seen_records:
+        rec = parse_line(line)
+        if rec is None:
+            errors.append(
+                f"line {lineno}: torn or corrupt record (dropped on resume)"
+            )
+        elif rec.index is not None:
+            if rec.index in seen_records:
                 errors.append(
                     f"line {lineno}: stale duplicate record for setup "
-                    f"{rec[0]} (run `repro journal compact`)"
+                    f"{rec.index} (run `repro journal compact`)"
                 )
-            seen_records.add(rec[0])
-            continue
-        aux = Journal._parse_aux(line)
-        if aux is not None:
-            if aux["kind"] in seen_aux:
+            seen_records.add(rec.index)
+        else:
+            if rec.kind in seen_aux:
                 errors.append(
-                    f"line {lineno}: stale duplicate {aux['kind']!r} aux "
+                    f"line {lineno}: stale duplicate {rec.kind!r} aux "
                     "record (run `repro journal compact`)"
                 )
-            seen_aux.add(aux["kind"])
-            continue
-        errors.append(
-            f"line {lineno}: torn or corrupt record (dropped on resume)"
-        )
+            seen_aux.add(rec.kind)
     return errors
 
 
 def summarize_journal(data: Dict[str, Any]) -> str:
     """One checkpoint journal's contents as a property table."""
+    from repro.core.checklog import parse_line
     from repro.core.report import render_table
-    from repro.core.runner import Journal
+    from repro.core.runner import JOURNAL_LOG
 
     j = data.get("journal") or {}
     header = j.get("header") or {}
-    indices: List[int] = []
-    aux_kinds: Dict[str, int] = {}
-    corrupt = 0
-    for line in j.get("lines") or []:
-        if not line.strip():
-            continue
-        rec = Journal._parse_record(line)
-        if rec is not None:
-            indices.append(rec[0])
-            continue
-        aux = Journal._parse_aux(line)
-        if aux is not None:
-            aux_kinds[aux["kind"]] = aux_kinds.get(aux["kind"], 0) + 1
-            continue
-        corrupt += 1
-    stale = len(indices) - len(set(indices)) + sum(
-        n - 1 for n in aux_kinds.values()
-    )
+    parsed = [parse_line(l) for l in j.get("lines") or [] if l.strip()]
+    records = [r for r in parsed if r is not None]
+    indices = [r.index for r in records if r.index is not None]
+    aux_kinds = Counter(r.kind for r in records if r.index is None)
+    corrupt = len(parsed) - len(records)
+    stale = len(records) - len(JOURNAL_LOG.keep(records))
     rows = [
         ["sweep", str(header.get("sweep", "?"))[:12]],
         ["note", header.get("note") or "(none)"],

@@ -1,6 +1,7 @@
 """Fault-aware I/O shim for the coordinator's durable artifacts.
 
-Every byte the coordinator persists — checkpoint journal lines, v2
+Every byte the coordinator persists — checkpoint journal and service
+WAL lines (appended and rewritten by :mod:`repro.core.checklog`), v2
 archives, content-addressed store entries — flows through the small
 functions here, which consult the active :class:`~repro.faults.FaultPlan`
 before touching the disk.  That gives the storage failure domain the
@@ -101,22 +102,6 @@ def maybe_bitflip(path: str, key: str, attempt: int = 1) -> bool:
         os.fsync(fh.fileno())
     obs_metrics.counter("storage.bitflips").inc()
     return True
-
-
-def durable_append_line(fh: IO, line: str, key: str, *, path: str = "") -> None:
-    """Durably append one line to an open log: ``disk_full`` gate,
-    write, flush, shim :func:`fsync` — the append-only counterpart of
-    :func:`atomic_write_text`.
-
-    This is the primitive behind the service's study-queue WAL (and any
-    future append-only artifact that wants the same fault surface): the
-    injected failure modes land at exactly the points a real disk would
-    fail, and the line is on stable storage before the call returns.
-    """
-    check_disk_full(key, path=path)
-    fh.write(line + "\n")
-    fh.flush()
-    fsync(fh, key)
 
 
 def atomic_write_text(path: str, text: str, key: str = "") -> None:

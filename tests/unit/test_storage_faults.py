@@ -29,6 +29,7 @@ from repro.core.runner import (
     compact_journal,
     sweep_id,
 )
+from repro.core.servicewal import ServiceWAL, compact_wal
 from repro.store import open_store
 
 WORKLOAD = "sphinx3"
@@ -279,9 +280,19 @@ class TestFsyncStall:
 
 class TestCompactionVsStall:
     """Satellite: compaction racing ``journal_fsync_stall`` must never
-    publish a partially-synced rewrite."""
+    publish a partially-synced rewrite.
 
-    def _journal_with_duplicates(self, tmp_path):
+    Parametrized by log: these cases run on the sweep journal, and
+    :class:`TestWalCompactionVsStall` runs them on the service WAL by
+    overriding the log hooks below (both logs share one rewrite).
+    """
+
+    compact = staticmethod(compact_journal)
+    #: Records the compaction keeps, and what the log replays to after.
+    records_after = 3
+    replayed = {i: {"v": i + 10} for i in range(3)}
+
+    def _log_with_duplicates(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
         j = Journal(path, "s")
         j.open_for_append()
@@ -292,8 +303,11 @@ class TestCompactionVsStall:
         j.close()
         return path
 
+    def _replay(self, path):
+        return Journal(path, "s").load()
+
     def test_compaction_under_stall_still_verifies(self, tmp_path):
-        path = self._journal_with_duplicates(tmp_path)
+        path = self._log_with_duplicates(tmp_path)
         plan = faults.FaultPlan(
             seed=5,
             fsync_stall_rate=1.0,
@@ -301,12 +315,12 @@ class TestCompactionVsStall:
             transient_fraction=0.0,
         )
         with faults.injected_faults(plan):
-            stats = compact_journal(path)
-        assert stats.records_after == 3
-        assert Journal(path, "s").load() == {i: {"v": i + 10} for i in range(3)}
+            stats = self.compact(path)
+        assert stats.records_after == self.records_after
+        assert self._replay(path) == self.replayed
 
     def test_unsynced_rewrite_is_never_published(self, tmp_path, monkeypatch):
-        path = self._journal_with_duplicates(tmp_path)
+        path = self._log_with_duplicates(tmp_path)
         original = open(path, "rb").read()
 
         def torn_fsync(fh, key, attempt=1):
@@ -319,10 +333,36 @@ class TestCompactionVsStall:
             "repro.core.runner.storageio.fsync", torn_fsync
         )
         with pytest.raises(ArchiveCorruption, match="verification"):
-            compact_journal(path)
-        # The original journal is untouched and the torn tmp is gone.
+            self.compact(path)
+        # The original log is untouched and the torn tmp is gone.
         assert open(path, "rb").read() == original
         assert not os.path.exists(path + ".compact")
+
+
+class TestWalCompactionVsStall(TestCompactionVsStall):
+    """The same cases on the service WAL: stale leases instead of
+    duplicates, replayed to the study's completed setups."""
+
+    compact = staticmethod(compact_wal)
+    records_after = 4  # the submit + three completions
+    replayed = {"s": [0, 1, 2]}
+
+    def _log_with_duplicates(self, tmp_path):
+        path = str(tmp_path / "queue.wal")
+        wal = ServiceWAL(path)
+        wal.load()
+        wal.open_for_append()
+        wal.append("submit", {"study": "s", "spec": {"workload": "w"}})
+        for i in range(3):  # stale once the setup completes
+            wal.append("lease", {"study": "s", "index": i, "attempt": 1,
+                                 "agent": "a:1"})
+            wal.append("complete", {"study": "s", "index": i})
+        wal.close()
+        return path
+
+    def _replay(self, path):
+        state = ServiceWAL(path).load()
+        return {s: sorted(r.completed) for s, r in state.studies.items()}
 
 
 class TestAtomicArchiveWrites:
