@@ -49,7 +49,6 @@ operator's runbook.
 
 from __future__ import annotations
 
-import collections
 import hashlib
 import hmac
 import json
@@ -63,7 +62,7 @@ import threading
 import time
 import weakref
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import __version__, faults
 from repro._errors import ReproError
@@ -76,6 +75,7 @@ from repro.core.session import (
 )
 from repro.core.supervisor import (
     DEFAULT_HANG_TIMEOUT,
+    SUPERVISION_TICK,
     DispatchPool,
     PoolEvent,
     SupervisedPool,
@@ -146,6 +146,92 @@ def auth_proof(secret: str, nonce: str) -> str:
     return hmac.new(
         secret.encode(), b"repro-agent-hello:" + nonce.encode(), hashlib.sha256
     ).hexdigest()
+
+
+def challenge() -> Dict[str, Any]:
+    """The checking side's opening frame body: a fresh random nonce per
+    session, so a proof is only ever valid for the handshake it was
+    minted for (a captured opener replays as garbage against the next
+    nonce)."""
+    return {"protocol": PROTOCOL_VERSION, "nonce": secrets.token_hex(16)}
+
+
+def refusal(
+    opener: Dict[str, Any], nonce: str, secret: Optional[str], role: str
+) -> Optional[Dict[str, Any]]:
+    """The checking half of the handshake, one copy for both directions:
+    a listening agent checks its coordinator's ``hello`` (``role`` is
+    ``"agent"``) and ``repro serve`` checks each dialing agent's
+    ``register`` (``role`` is ``"coordinator"``).
+
+    Returns the ``error`` frame body that refuses ``opener``, or None to
+    accept it.  The protocol version and the proof are checked before
+    any other field of the opener is used: an unauthenticated peer
+    configures nothing.  An auth refusal carries ``code: "auth"`` so the
+    peer can count it apart from transport losses, and never echoes the
+    digest.
+    """
+    sent = opener.get("protocol")
+    if sent != PROTOCOL_VERSION:
+        # A listening agent also names what its coordinator sent.
+        detail = f", coordinator sent {sent!r}" if role == "agent" else ""
+        return {
+            "message": f"protocol mismatch: {role} speaks "
+                       f"{PROTOCOL_VERSION}{detail}",
+        }
+    if secret is not None:
+        proof = opener.get("auth")
+        if not (
+            isinstance(proof, str)
+            and hmac.compare_digest(proof, auth_proof(secret, nonce))
+        ):
+            return {
+                "code": "auth",
+                "message": f"authentication failed: {role} requires a "
+                           "shared secret (--secret)",
+            }
+    return None
+
+
+def open_session(
+    sock: socket.socket,
+    opener: str,
+    data: Dict[str, Any],
+    secret: Optional[str],
+    peer: str,
+    expect: str,
+) -> Tuple[str, Dict[str, Any]]:
+    """The proving half of the handshake, one copy for both directions:
+    a coordinator dialing a listening agent (``hello``, expecting
+    ``hello_ack``) and an agent dialing ``repro serve`` (``register``,
+    expecting ``registered``).
+
+    Reads the peer's ``challenge``, sends ``opener`` carrying ``data``
+    plus the :func:`auth_proof` of the challenge nonce (None without a
+    secret), and returns the peer's reply: ``expect`` at this protocol
+    version, or an ``error`` the caller turns into its own refusal.
+    Anything else raises :class:`ProtocolError` naming ``peer``.
+    """
+    kind, opening = recv_message(sock)
+    if kind != "challenge":
+        raise ProtocolError(
+            f"{peer} opened with {kind!r}, expected a challenge "
+            f"(protocol < {PROTOCOL_VERSION}?)"
+        )
+    nonce = opening.get("nonce")
+    if not isinstance(nonce, str) or not nonce:
+        raise ProtocolError(f"{peer} sent a malformed challenge")
+    proof = auth_proof(secret, nonce) if secret else None
+    send_message(sock, opener, dict(data, auth=proof))
+    kind, reply = recv_message(sock)
+    if kind == "error" or (
+        kind == expect and reply.get("protocol") == PROTOCOL_VERSION
+    ):
+        return kind, reply
+    raise ProtocolError(
+        f"{peer} sent an unexpected handshake ({kind!r}, protocol "
+        f"{reply.get('protocol')!r})"
+    )
 
 
 # -- fork hygiene ------------------------------------------------------------
@@ -567,40 +653,20 @@ class AgentServer:
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             sock.settimeout(30.0)
-            kind, challenge = recv_message(sock)
-            if kind != "challenge":
-                raise ProtocolError(
-                    f"coordinator {host}:{port} opened with {kind!r}, "
-                    "expected a challenge"
-                )
-            nonce = challenge.get("nonce")
-            if not isinstance(nonce, str) or not nonce:
-                raise ProtocolError(
-                    f"coordinator {host}:{port} sent a malformed challenge"
-                )
-            register = self._identity()
-            register["auth"] = (
-                auth_proof(self.secret, nonce) if self.secret else None
+            kind, data = open_session(
+                sock, "register", self._identity(), self.secret,
+                f"coordinator {host}:{port}", "registered",
             )
-            send_message(sock, "register", register)
-            kind, data = recv_message(sock)
             if kind == "error":
-                if data.get("code") == "auth":
-                    # Fatal, not retried: a wrong secret is operator
-                    # error, and redialing would never heal it.
-                    raise AgentUnavailable(
-                        f"coordinator {host}:{port} refused registration: "
-                        f"{data.get('message')}"
-                    )
-                raise ProtocolError(
+                # An auth refusal is fatal, not retried: a wrong secret
+                # is operator error, and redialing would never heal it.
+                refused = (
+                    AgentUnavailable if data.get("code") == "auth"
+                    else ProtocolError
+                )
+                raise refused(
                     f"coordinator {host}:{port} refused registration: "
                     f"{data.get('message')}"
-                )
-            if kind != "registered" or data.get("protocol") != PROTOCOL_VERSION:
-                raise ProtocolError(
-                    f"coordinator {host}:{port} sent an unexpected "
-                    f"handshake ({kind!r}, protocol "
-                    f"{data.get('protocol')!r})"
                 )
             self._log(f"registered with coordinator {host}:{port}")
             session = _parse_session_config(data)
@@ -638,41 +704,17 @@ class AgentServer:
 
     def _serve_session(self, conn: socket.socket) -> None:
         conn.settimeout(30.0)
-        # Challenge first: a fresh random nonce per session, so an auth
-        # proof is only ever valid for the handshake it was minted for
-        # (a captured hello replays as garbage against the next nonce).
-        nonce = secrets.token_hex(16)
-        send_message(conn, "challenge", {
-            "protocol": PROTOCOL_VERSION,
-            "nonce": nonce,
-        })
+        opening = challenge()
+        send_message(conn, "challenge", opening)
         kind, hello = recv_message(conn)
         if kind != "hello":
             raise ProtocolError(f"expected hello, got {kind!r}")
-        if hello.get("protocol") != PROTOCOL_VERSION:
-            send_message(conn, "error", {
-                "message": f"protocol mismatch: agent speaks "
-                           f"{PROTOCOL_VERSION}, coordinator sent "
-                           f"{hello.get('protocol')!r}",
-            })
-            raise ProtocolError("protocol version mismatch")
-        if self.secret is not None:
-            proof = hello.get("auth")
-            expected = auth_proof(self.secret, nonce)
-            if not (
-                isinstance(proof, str)
-                and hmac.compare_digest(proof, expected)
-            ):
-                # Refuse before reading policy knobs: an unauthenticated
-                # coordinator configures nothing.  The error names its
-                # code so the coordinator can count auth failures apart
-                # from transport losses, but never echoes the digest.
-                send_message(conn, "error", {
-                    "code": "auth",
-                    "message": "authentication failed: agent requires a "
-                               "shared secret (--secret)",
-                })
-                raise ProtocolError("coordinator failed authentication")
+        refused = refusal(hello, opening["nonce"], self.secret, "agent")
+        if refused is not None:
+            send_message(conn, "error", refused)
+            raise ProtocolError(
+                f"refused the coordinator: {refused['message']}"
+            )
         session = _parse_session_config(hello)
         send_message(conn, "hello_ack", self._identity())
         # The handshake had a deadline; the session does not — a
@@ -850,32 +892,153 @@ class AgentServer:
 # -- the coordinator --------------------------------------------------------
 
 
-class _Link:
-    """Coordinator-side handle for one connected agent."""
+class AgentLink:
+    """A remote pool's handle for one agent session.
+
+    One type for both remote pools: ``conn`` is the transport — a
+    blocking socket for :class:`AgentPool`, an asyncio stream writer for
+    the service's agent registry (which owns that socket on its event
+    loop).
+    """
 
     __slots__ = (
-        "slot", "host", "port", "sock", "info", "in_flight", "last_recv",
+        "slot", "label", "info", "conn", "in_flight", "last_recv", "lost",
+        "results",
     )
 
-    def __init__(self, slot: int, host: str, port: int, sock, info) -> None:
+    def __init__(self, slot: int, label: str, info: Dict[str, Any],
+                 conn: Any) -> None:
         self.slot = slot
-        self.host = host
-        self.port = port
-        self.sock = sock
+        self.label = label
         self.info = info
+        self.conn = conn
+        #: Tasks dispatched to this agent and not yet settled
+        #: (index -> Task); owned by the pool that dispatches to the link
+        #: (for the service: its executor thread, never the event loop).
         self.in_flight: Dict[int, Task] = {}
         self.last_recv = time.monotonic()
-
-    @property
-    def label(self) -> str:
-        return f"{self.host}:{self.port}"
+        #: Set once the transport is known gone; a lost link takes no
+        #: further task.
+        self.lost = False
+        #: Well-formed results this link delivered.
+        self.results = 0
 
     @property
     def capacity(self) -> int:
+        """Concurrent tasks this agent advertises (its ``--jobs``)."""
         return max(1, int(self.info.get("jobs", 1)))
 
 
-class AgentPool(DispatchPool):
+class RemotePool(DispatchPool):
+    """What the two agent pools share on top of the dispatch core.
+
+    Executors are :class:`AgentLink` agents with ``jobs`` capacity.
+    This class holds the remote dispatch step (the task frame and the
+    coordinator-side ``net_partition`` / ``message_corrupt`` draws), the
+    link-silence scan and the result-shape check.  A subclass supplies
+    its transport (:meth:`_write`), its live links, its failover of a
+    lost link (:meth:`_lose`) and its result policy (:meth:`_settle`).
+    """
+
+    def __init__(
+        self,
+        fault_plan: Optional[faults.FaultPlan],
+        heartbeat_interval: float,
+    ) -> None:
+        super().__init__(heartbeat_interval)
+        self.fault_plan = fault_plan
+
+    def _load(self, link: AgentLink) -> int:
+        return len(link.in_flight)
+
+    def _send(self, link: AgentLink, task: Task, count: int) -> bool:
+        plan = self.fault_plan
+        if plan is not None and plan.fires("net_partition", task.key, count):
+            # The network dies as we dispatch: nothing is sent, the
+            # dispatch is spent (so a transient partition clears on the
+            # re-dispatch), and the link fails over like any other loss.
+            self._dispatched[task.index] = count
+            self._lose(link, "crash")
+            return False
+        corrupt = plan is not None and plan.fires(
+            "message_corrupt", task.key, count
+        )
+        if not self._send_task(link, task, count, corrupt):
+            self._lose(link, "crash")
+            return False
+        self._grant(link, task, count)
+        return True
+
+    def _send_task(self, link: AgentLink, task: Task, count: int,
+                   corrupt: bool = False) -> bool:
+        """Write one task frame; False when the transport refused it."""
+        return self._write(link, "task", {
+            "key": task.key,
+            "dispatch": count,
+            "payload": payload_to_wire(task.payload),
+        }, corrupt)
+
+    def _grant(self, link: AgentLink, task: Task, count: int) -> None:
+        """Record ``task`` as running on ``link`` after its frame went out."""
+        link.in_flight[task.index] = task
+
+    def _scan_silence(self, timeout: float) -> None:
+        """An agent silent past ``timeout`` is partitioned, whatever TCP
+        thinks: fail its link over."""
+        now = time.monotonic()
+        for link in self._executors():
+            if now - link.last_recv > timeout:
+                self._lose(link, "hang")
+
+    def _accept_result(self, link: AgentLink, data: Dict[str, Any]) -> None:
+        """Take one result frame.  A frame can pass its checksum and
+        still carry an outcome that is not ``[kind, int index, int
+        attempt, data]`` (a version-skewed agent, say): that fails the
+        link over at the same attempt, exactly like a corrupt frame.  A
+        well-formed outcome goes to the pool's own policy."""
+        outcome = data.get("outcome")
+        if not (
+            isinstance(outcome, list)
+            and len(outcome) == 4
+            and isinstance(outcome[0], str)
+            # Index and attempt are exact ints: JSON ``true`` is no index.
+            and all(type(n) is int for n in outcome[1:3])
+            and isinstance(outcome[3], dict)
+        ):
+            self._lose(link, "crash")
+            return
+        link.results += 1
+        self._settle(link, tuple(outcome), data)
+
+    def _result_event(self, link: AgentLink, task: Optional[Task],
+                      outcome: Tuple, data: Dict[str, Any]) -> None:
+        self._events.append(PoolEvent(
+            "result",
+            worker=link.slot,
+            task=task,
+            result=outcome,
+            records=data.get("records"),
+            label=link.label,
+        ))
+
+    # -- transport and policy hooks ---------------------------------------
+
+    def _write(self, link: AgentLink, kind: str, data: Dict[str, Any],
+               corrupt: bool = False) -> bool:
+        """Send one frame to ``link``; False when it is known lost."""
+        raise NotImplementedError
+
+    def _lose(self, link: AgentLink, reason: str) -> None:
+        """Fail a lost link over: requeue what it held, report ``reason``."""
+        raise NotImplementedError
+
+    def _settle(self, link: AgentLink, outcome: Tuple,
+                data: Dict[str, Any]) -> None:
+        """Apply one well-formed result from ``link``."""
+        raise NotImplementedError
+
+
+class AgentPool(RemotePool):
     """Remote agents behind the local pool's dispatch interface.
 
     Every agent is a super-worker with ``jobs`` capacity; dispatching,
@@ -928,108 +1091,91 @@ class AgentPool(DispatchPool):
         hang_timeout: Optional[float] = None,
         max_reconnects: int = 8,
         connect_timeout: float = 10.0,
-        poll_interval: float = 0.05,
         secret: Optional[str] = None,
         backoff_seed: int = 0,
     ) -> None:
         if not hosts:
             raise ValueError("AgentPool needs at least one host")
+        super().__init__(fault_plan, heartbeat_interval)
         self.hello = dict(hello)
         self.secret = secret
-        self.fault_plan = fault_plan
-        self.heartbeat_interval = heartbeat_interval
         self.hang_timeout = (
             DEFAULT_HANG_TIMEOUT if hang_timeout is None else hang_timeout
         )
         self.max_reconnects = max_reconnects
         self.connect_timeout = connect_timeout
-        self.poll_interval = poll_interval
         self.backoff_seed = backoff_seed
-        self._queue: Deque[Task] = collections.deque()
-        self._events: Deque[PoolEvent] = collections.deque()
-        self._dispatched: Dict[int, int] = {}
-        self._links: List[_Link] = []
+        #: The roster, indexed by worker slot.
+        self._hosts = list(hosts)
+        self._links: List[AgentLink] = []
         self._down: List[Dict[str, Any]] = []  # reconnect work items
-        self._reconnects = 0
-        self._closed = False
-        self._degraded = False
         #: Provenance: per-address agent identity + results served,
         #: aggregated across reconnects (feeds the manifest's ``hosts``).
         self._host_info: Dict[str, Dict[str, Any]] = {}
-        for slot, (host, port) in enumerate(hosts):
+        for slot, (host, port) in enumerate(self._hosts):
             try:
-                self._links.append(self._connect(slot, host, port))
+                self._links.append(self._connect(slot))
             except (OSError, ProtocolError, EOFError) as exc:
                 self.close()
                 raise AgentUnavailable(
                     f"agent {host}:{port} is unreachable: {exc}"
                 ) from exc
 
-    # -- introspection ----------------------------------------------------
-
-    @property
-    def reconnects(self) -> int:
-        """Reconnection attempts spent so far."""
-        return self._reconnects
-
-    def alive_agents(self) -> int:
-        """Agents currently connected."""
-        return len(self._links)
-
     def hosts_info(self) -> List[Dict[str, Any]]:
         """Per-host provenance for the manifest: every agent this pool
         ever spoke to, its identity, and the results it served."""
         return [dict(self._host_info[k]) for k in sorted(self._host_info)]
 
+    def close(self) -> None:
+        """Hang up on every agent (they return to their accept loop)."""
+        if self._closed:
+            return
+        self._closed = True
+        for link in self._links:
+            try:
+                send_message(link.conn, "shutdown", {})
+            except OSError:
+                pass
+            try:
+                link.conn.close()
+            except OSError:
+                pass
+        self._links.clear()
+        self._queue.clear()
+        self._down.clear()
+
     # -- connection management --------------------------------------------
 
-    def _connect(self, slot: int, host: str, port: int) -> _Link:
+    def _connect(self, slot: int) -> AgentLink:
+        host, port = self._hosts[slot]
+        label = f"{host}:{port}"
         sock = _track(socket.create_connection(
             (host, port), timeout=self.connect_timeout
         ))
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         try:
-            kind, challenge = recv_message(sock)
-            if kind != "challenge":
-                raise ProtocolError(
-                    f"agent {host}:{port} opened with {kind!r}, expected "
-                    f"a challenge (protocol < {PROTOCOL_VERSION}?)"
-                )
-            nonce = challenge.get("nonce")
-            if not isinstance(nonce, str) or not nonce:
-                raise ProtocolError(
-                    f"agent {host}:{port} sent a malformed challenge"
-                )
-            hello = dict(self.hello)
-            hello["auth"] = (
-                auth_proof(self.secret, nonce) if self.secret else None
+            kind, info = open_session(
+                sock, "hello", self.hello, self.secret, f"agent {label}",
+                "hello_ack",
             )
-            send_message(sock, "hello", hello)
-            kind, info = recv_message(sock)
+            if kind == "error":
+                if info.get("code") == "auth":
+                    # Counted apart from transport losses: a wrong
+                    # secret is an operator/configuration problem, and
+                    # it spends the same per-link budget a dead host
+                    # would (initial connects still fail fast as
+                    # AgentUnavailable).
+                    obs_metrics.counter("distributed.auth_failures").inc()
+                raise ProtocolError(
+                    f"agent {label} rejected the session: "
+                    f"{info.get('message')}"
+                )
         except Exception:
             sock.close()
             raise
-        if kind == "error":
-            sock.close()
-            if info.get("code") == "auth":
-                # Counted apart from transport losses: a wrong secret is
-                # an operator/configuration problem, and it spends the
-                # same per-link budget a dead host would (initial
-                # connects still fail fast as AgentUnavailable).
-                obs_metrics.counter("distributed.auth_failures").inc()
-            raise ProtocolError(
-                f"agent {host}:{port} rejected the session: "
-                f"{info.get('message')}"
-            )
-        if kind != "hello_ack" or info.get("protocol") != PROTOCOL_VERSION:
-            sock.close()
-            raise ProtocolError(
-                f"agent {host}:{port} sent an unexpected handshake "
-                f"({kind!r}, protocol {info.get('protocol')!r})"
-            )
         sock.settimeout(max(self.connect_timeout, self.hang_timeout))
-        link = _Link(slot, host, port, sock, info)
-        entry = self._host_info.setdefault(link.label, {
+        link = AgentLink(slot, label, info, sock)
+        entry = self._host_info.setdefault(label, {
             "host": host,
             "port": port,
             "results": 0,
@@ -1044,44 +1190,6 @@ class AgentPool(DispatchPool):
         entry["sessions"] += 1
         return link
 
-    def _fail_link(self, link: _Link, reason: str) -> None:
-        """Salvage, requeue, schedule reconnection — the failover path."""
-        if link not in self._links:
-            return
-        # An agent that sent results and *then* died must not cost the
-        # sweep measurements: drain whatever already reached our socket
-        # buffer before tearing the link down.
-        try:
-            while link.in_flight and _readable(link.sock):
-                kind, data = recv_message(link.sock)
-                if kind == "result":
-                    self._accept_result(link, data)
-        except (ProtocolError, EOFError, OSError):
-            pass
-        self._links.remove(link)
-        try:
-            link.sock.close()
-        except OSError:
-            pass
-        requeued = [link.in_flight[i] for i in sorted(link.in_flight)]
-        link.in_flight.clear()
-        for task in reversed(requeued):
-            # Failover, not retry: head of the queue, same attempt.
-            self._queue.appendleft(task)
-        self._events.append(PoolEvent(
-            reason,
-            worker=link.slot,
-            tasks=requeued,
-            label=link.label,
-        ))
-        self._down.append({
-            "slot": link.slot,
-            "host": link.host,
-            "port": link.port,
-            "next_try": time.monotonic() + self.poll_interval,
-            "failures": 0,
-        })
-
     def _try_reconnects(self) -> None:
         now = time.monotonic()
         still_down: List[Dict[str, Any]] = []
@@ -1091,22 +1199,21 @@ class AgentPool(DispatchPool):
                 continue
             if item["failures"] >= self.max_reconnects:
                 continue  # this agent's budget is spent: drop it
-            self._reconnects += 1
             try:
-                link = self._connect(
-                    item["slot"], item["host"], item["port"]
-                )
+                link = self._connect(item["slot"])
             except (OSError, ProtocolError, EOFError):
                 item["failures"] += 1
+                host, port = self._hosts[item["slot"]]
                 # Seeded exponential backoff with deterministic jitter
                 # (the runner's retry policy, reused): repeated failures
-                # against one address space out geometrically, capped at
-                # 2s, and the per-address jitter keeps a pool that lost
-                # several agents at once from redialing them in lockstep.
+                # against one address space out geometrically from one
+                # supervision tick, capped at 2s, and the per-address
+                # jitter keeps a pool that lost several agents at once
+                # from redialing them in lockstep.
                 item["next_try"] = now + _runner.seeded_backoff(
-                    self.poll_interval,
+                    SUPERVISION_TICK,
                     self.backoff_seed,
-                    f"reconnect:{item['host']}:{item['port']}",
+                    f"reconnect:{host}:{port}",
                     item["failures"] + 1,
                     cap=2.0,
                 )
@@ -1117,151 +1224,85 @@ class AgentPool(DispatchPool):
                 "respawn", worker=link.slot, label=link.label
             ))
         self._down = still_down
-        if not self._links and not self._down and not self._degraded:
-            # No agent left, none coming back: hand every unfinished
-            # task to the caller so it can degrade honestly.
-            remaining = list(self._queue)
-            self._queue.clear()
-            self._degraded = True
-            self._events.append(PoolEvent("degraded", tasks=remaining))
+        if not self._links and not self._down:
+            self._degrade()  # no agent left, none coming back
 
-    # -- DispatchPool interface -------------------------------------------
+    # -- dispatch-core hooks ----------------------------------------------
 
-    def submit(self, task: Task) -> None:
-        """Queue a task; it is dispatched on the next :meth:`poll`."""
-        self._queue.append(task)
+    def _executors(self) -> List[AgentLink]:
+        return list(self._links)
 
-    def poll(self, timeout: Optional[float] = None) -> Optional[PoolEvent]:
-        """The next supervision event (see :class:`DispatchPool`)."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            if self._events:
-                return self._events.popleft()
-            if not self._queue and not any(
-                link.in_flight for link in self._links
-            ):
-                return None
-            self._dispatch_queued()
-            if self._events:
-                continue
-            self._read_links()
-            self._dispatch_queued()  # refill before report
-            self._scan_liveness()
-            self._try_reconnects()
-            if (
-                deadline is not None
-                and not self._events
-                and time.monotonic() >= deadline
-            ):
-                return None
-
-    def close(self) -> None:
-        """Hang up on every agent (they return to their accept loop)."""
-        if self._closed:
-            return
-        self._closed = True
-        for link in self._links:
-            try:
-                send_message(link.sock, "shutdown", {})
-            except OSError:
-                pass
-            try:
-                link.sock.close()
-            except OSError:
-                pass
-        self._links.clear()
-        self._queue.clear()
-        self._down.clear()
-
-    # -- supervision internals --------------------------------------------
-
-    def _dispatch_queued(self) -> None:
-        plan = self.fault_plan
-        for link in list(self._links):
-            while self._queue and len(link.in_flight) < link.capacity:
-                task = self._queue[0]
-                count = self._dispatched.get(task.index, 0) + 1
-                if plan is not None and plan.fires(
-                    "net_partition", task.key, count
-                ):
-                    # The network dies as we dispatch: nothing is sent,
-                    # the dispatch is spent (so a transient partition
-                    # clears on the re-dispatch), and the link fails
-                    # over like any other loss.
-                    self._dispatched[task.index] = count
-                    self._fail_link(link, "crash")
-                    break
-                corrupt = plan is not None and plan.fires(
-                    "message_corrupt", task.key, count
-                )
-                try:
-                    send_message(
-                        link.sock,
-                        "task",
-                        {
-                            "key": task.key,
-                            "dispatch": count,
-                            "payload": payload_to_wire(task.payload),
-                        },
-                        corrupt=corrupt,
-                    )
-                except OSError:
-                    self._fail_link(link, "crash")
-                    break
-                self._queue.popleft()
-                self._dispatched[task.index] = count
-                link.in_flight[task.index] = task
-            if not self._queue:
-                break
-
-    def _read_links(self) -> None:
-        socks = [link.sock for link in self._links]
-        if not socks:
-            time.sleep(self.poll_interval)
-            return
+    def _write(self, link: AgentLink, kind: str, data: Dict[str, Any],
+               corrupt: bool = False) -> bool:
         try:
-            readable, _, _ = select.select(
-                socks, [], [], min(self.poll_interval, self.heartbeat_interval)
-            )
+            send_message(link.conn, kind, data, corrupt=corrupt)
+        except OSError:
+            return False
+        return True
+
+    def _scan_liveness(self) -> None:
+        self._scan_silence(self.hang_timeout)
+        self._try_reconnects()
+
+    def _collect(self, deadline: Optional[float]) -> bool:
+        wait = self._wait_budget(deadline)
+        by_sock = {link.conn: link for link in self._links}
+        if not by_sock:
+            time.sleep(wait)
+            return False
+        try:
+            readable, _, _ = select.select(list(by_sock), [], [], wait)
         except OSError:
             readable = []
-        by_sock = {link.sock: link for link in self._links}
         for sock in readable:
-            link = by_sock.get(sock)
-            if link is None or link not in self._links:
+            link = by_sock[sock]
+            if link.lost:
                 continue
             try:
-                kind, data = recv_message(link.sock)
-            except (ProtocolError, EOFError, OSError) as exc:
-                del exc
-                self._fail_link(link, "crash")
+                kind, data = recv_message(sock)
+            except (ProtocolError, EOFError, OSError):
+                self._lose(link, "crash")
                 continue
             link.last_recv = time.monotonic()
             if kind == "result":
                 self._accept_result(link, data)
             # heartbeats only refresh last_recv; unknown kinds ignored.
+        return False
 
-    def _accept_result(self, link: _Link, data: Dict[str, Any]) -> None:
-        outcome = data.get("outcome")
-        if not isinstance(outcome, list) or len(outcome) != 4:
-            raise ProtocolError("malformed result outcome")
-        index = outcome[1]
-        task = link.in_flight.pop(index, None)
+    def _lose(self, link: AgentLink, reason: str) -> None:
+        """Salvage, requeue, schedule reconnection — the failover path."""
+        if link.lost:
+            return
+        link.lost = True
+        self._links.remove(link)
+        # An agent that sent results and *then* died must not cost the
+        # sweep measurements: drain whatever already reached our socket
+        # buffer before tearing the link down.
+        try:
+            while link.in_flight and _readable(link.conn):
+                kind, data = recv_message(link.conn)
+                if kind == "result":
+                    self._accept_result(link, data)
+        except (ProtocolError, EOFError, OSError):
+            pass
+        try:
+            link.conn.close()
+        except OSError:
+            pass
+        requeued = [link.in_flight[i] for i in sorted(link.in_flight)]
+        link.in_flight.clear()
+        self._fail_over(reason, link.slot, requeued, link.label)
+        self._down.append({
+            "slot": link.slot,
+            "next_try": time.monotonic() + SUPERVISION_TICK,
+            "failures": 0,
+        })
+
+    def _settle(self, link: AgentLink, outcome: Tuple,
+                data: Dict[str, Any]) -> None:
+        task = link.in_flight.pop(outcome[1], None)
         self._host_info[link.label]["results"] += 1
-        self._events.append(PoolEvent(
-            "result",
-            worker=link.slot,
-            task=task,
-            result=tuple(outcome),
-            records=data.get("records"),
-            label=link.label,
-        ))
-
-    def _scan_liveness(self) -> None:
-        now = time.monotonic()
-        for link in list(self._links):
-            if now - link.last_recv > self.hang_timeout:
-                self._fail_link(link, "hang")
+        self._result_event(link, task, outcome, data)
 
 
 def _readable(sock: socket.socket, timeout: float = 0.0) -> bool:

@@ -1091,9 +1091,8 @@ class SweepRunner:
                 ),
             }
             pool = self._active_pool
-            stats = getattr(pool, "stats", None)
-            if callable(stats):
-                record.update(stats())
+            if pool is not None:
+                record.update(pool.stats())
             else:
                 # Serial mode (or between pools): the coordinator is the
                 # only worker, busy exactly while setups remain.
@@ -1500,14 +1499,9 @@ class SweepRunner:
             else "supervisor.worker_hangs",
         }[event.kind]
         obs_metrics.counter(name).inc()
-        # Local workers run one task; a lost agent hands back every
+        # A local worker hands back at most one task; a lost agent every
         # in-flight task it was serving.
-        if event.tasks:
-            indices: List[int] = sorted(t.index for t in event.tasks)
-        elif event.task is not None:
-            indices = [event.task.index]
-        else:
-            indices = []
+        indices: List[int] = sorted(t.index for t in event.tasks)
         index = indices[0] if indices else None
         extra: Dict[str, Any] = (
             {"label": event.label, "indices": indices} if remote else {}

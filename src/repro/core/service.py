@@ -55,33 +55,32 @@ from __future__ import annotations
 
 import asyncio
 import collections
-import hmac
 import http.client
 import json
 import os
 import queue
-import secrets
 import signal
 import sys
 import threading
 import time
 from dataclasses import dataclass, field, fields as dc_fields
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro import faults, workloads
 from repro.arch import available_machines
 from repro.core import Experiment, ExperimentalSetup
 from repro.core.bias import env_size_study, link_order_study, sample_link_orders
 from repro.core.distributed import (
-    PROTOCOL_VERSION,
+    AgentLink,
     ProtocolError,
+    RemotePool,
     _HEADER,
-    auth_proof,
     build_hello,
-    decode_payload,
+    challenge,
     check_frame_header,
+    decode_payload,
     encode_message,
-    payload_to_wire,
+    refusal,
 )
 from repro.core.errors import ReproError
 from repro.core.report import render_series
@@ -89,7 +88,7 @@ from repro.core.runner import RunnerConfig, SweepRunner
 from repro.core.servicewal import ServiceWAL
 from repro.core.session import record_checksum
 from repro.core import supervisor
-from repro.core.supervisor import DispatchPool, PoolEvent, Task
+from repro.core.supervisor import DispatchPool, Task
 from repro._errors import JournalWriteError
 from repro.obs import metrics as obs_metrics
 from repro.obs import progress as obs_progress
@@ -236,33 +235,6 @@ class StudySpec:
 # -- agent registry (asyncio side) -------------------------------------------
 
 
-class ServiceLink:
-    """Coordinator-side handle for one registered (dialed-in) agent."""
-
-    __slots__ = (
-        "slot", "label", "info", "writer", "last_recv", "lost",
-        "in_flight", "results",
-    )
-
-    def __init__(self, slot: int, label: str, info: Dict[str, Any],
-                 writer: asyncio.StreamWriter) -> None:
-        self.slot = slot
-        self.label = label
-        self.info = info
-        self.writer = writer
-        self.last_recv = time.monotonic()
-        self.lost = False
-        #: Tasks currently leased to this agent (index -> Task); owned
-        #: by the executor thread's :class:`LeasePool`.
-        self.in_flight: Dict[int, Task] = {}
-        self.results = 0
-
-    @property
-    def capacity(self) -> int:
-        """Concurrent tasks this agent advertises (its ``--jobs``)."""
-        return max(1, int(self.info.get("jobs", 1)))
-
-
 class AgentRegistry:
     """The set of live agent links, shared between the asyncio side
     (which owns every socket) and the executor thread's lease pool.
@@ -277,7 +249,7 @@ class AgentRegistry:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._links: List[ServiceLink] = []
+        self._links: List[AgentLink] = []
         self._slots = 0
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self.inbox: "queue.Queue[Tuple]" = queue.Queue()
@@ -292,13 +264,13 @@ class AgentRegistry:
             self._slots += 1
             return self._slots
 
-    def register(self, link: ServiceLink) -> None:
+    def register(self, link: AgentLink) -> None:
         """Add a freshly handshaken link (loop thread only)."""
         with self._lock:
             self._links.append(link)
         self.inbox.put(("joined", link))
 
-    def discard(self, link: ServiceLink) -> None:
+    def discard(self, link: AgentLink) -> None:
         """Drop a dead link and tell the pool (loop thread only)."""
         link.lost = True
         with self._lock:
@@ -306,12 +278,12 @@ class AgentRegistry:
                 self._links.remove(link)
         self.inbox.put(("lost", link))
 
-    def live_links(self) -> List[ServiceLink]:
+    def live_links(self) -> List[AgentLink]:
         """Snapshot of currently registered links (any thread)."""
         with self._lock:
             return list(self._links)
 
-    def send(self, link: ServiceLink, kind: str, data: Dict[str, Any],
+    def send(self, link: AgentLink, kind: str, data: Dict[str, Any],
              corrupt: bool = False) -> bool:
         """Queue one frame to ``link`` from any thread.
 
@@ -325,23 +297,23 @@ class AgentRegistry:
         payload = encode_message(kind, data, corrupt=corrupt)
 
         def _write() -> None:
-            if link.lost or link.writer.is_closing():
+            if link.lost or link.conn.is_closing():
                 return
             try:
-                link.writer.write(payload)
+                link.conn.write(payload)
             except (ConnectionError, OSError, RuntimeError):
                 self.discard(link)
 
         self._loop.call_soon_threadsafe(_write)
         return True
 
-    def kill(self, link: ServiceLink) -> None:
+    def kill(self, link: AgentLink) -> None:
         """Force-close a link's transport from any thread (used by the
         ``net_partition`` draw and staleness scans); the reader
         coroutine then observes EOF and discards the link."""
         if self._loop is None:
             return
-        self._loop.call_soon_threadsafe(link.writer.close)
+        self._loop.call_soon_threadsafe(link.conn.close)
 
     def agents_doc(self) -> List[Dict[str, Any]]:
         """Status-endpoint view of every live agent."""
@@ -366,16 +338,16 @@ class _Lease:
 
     __slots__ = ("task", "links", "granted", "forced")
 
-    def __init__(self, task: Task, link: ServiceLink, now: float) -> None:
+    def __init__(self, task: Task, link: AgentLink, now: float) -> None:
         self.task = task
-        self.links: List[ServiceLink] = [link]
+        self.links: List[AgentLink] = [link]
         self.granted = now
         #: Set when the ``lease_expire`` chaos kind fired at grant time;
         #: the next scan expires the lease regardless of age.
         self.forced = False
 
 
-class LeasePool(DispatchPool):
+class LeasePool(RemotePool):
     """Registered-agent dispatch behind the runner's pool interface.
 
     The sweep runner drives this exactly like :class:`SupervisedPool`
@@ -406,36 +378,33 @@ class LeasePool(DispatchPool):
     WAL, which is what makes the queue durable.
     """
 
+    # Bound here so perfbench, which wraps ``vars(cls)[name]``, times
+    # the lease layer apart from the supervisor layer.
+    submit = DispatchPool.submit
+    poll = DispatchPool.poll
+
     def __init__(
         self,
         registry: AgentRegistry,
         fault_plan: Optional[faults.FaultPlan] = None,
         lease_timeout: Optional[float] = None,
         heartbeat_interval: float = 0.2,
-        poll_interval: float = 0.05,
         agentless_grace: float = DEFAULT_AGENTLESS_GRACE,
         on_lease: Optional[Callable[[int, int, str], None]] = None,
         on_requeue: Optional[Callable[[int, int, str], None]] = None,
     ) -> None:
+        super().__init__(fault_plan, heartbeat_interval)
         self.registry = registry
-        self.fault_plan = fault_plan
         self.lease_timeout = lease_timeout
-        self.heartbeat_interval = heartbeat_interval
-        self.poll_interval = poll_interval
         self.agentless_grace = agentless_grace
         self._on_lease = on_lease or (lambda index, attempt, agent: None)
         self._on_requeue = on_requeue or (lambda index, attempt, reason: None)
-        self._queue: Deque[Task] = collections.deque()
-        self._events: Deque[PoolEvent] = collections.deque()
         self._leases: Dict[int, _Lease] = {}
-        self._dispatched: Dict[int, int] = {}
         self._lost: Set[int] = set()  # id()s of links already failed
         self._durations = obs_metrics.Histogram(
             "service.lease_seconds", window=supervisor._ADAPTIVE_WINDOW
         )
         self._agentless_since: Optional[float] = None
-        self._degraded = False
-        self._closed = False
 
     # -- introspection ----------------------------------------------------
 
@@ -451,49 +420,7 @@ class LeasePool(DispatchPool):
         """Utilisation sample for the metrics timeline (the runner's
         sampler merges any numeric fields, so ``leases`` rides along
         with the standard worker gauges)."""
-        links = self.registry.live_links()
-        return {
-            "workers_alive": len(links),
-            "workers_busy": sum(1 for l in links if l.in_flight),
-            "queue_depth": len(self._queue),
-            "leases": len(self._leases),
-        }
-
-    # -- DispatchPool interface -------------------------------------------
-
-    def submit(self, task: Task) -> None:
-        """Queue a task; it is leased out on the next :meth:`poll`."""
-        self._queue.append(task)
-
-    def poll(self, timeout: Optional[float] = None) -> Optional[PoolEvent]:
-        """The next supervision event (None: drained or timed out)."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            if self._events:
-                return self._events.popleft()
-            if not self._queue and not self._leases:
-                return None
-            self._drain_inbox()
-            self._dispatch_queued()
-            self._scan_leases()
-            self._scan_links()
-            self._steal_work()
-            self._check_agentless()
-            if self._events:
-                continue
-            try:
-                item = self.registry.inbox.get(timeout=self.poll_interval)
-            except queue.Empty:
-                item = None
-            if item is not None:
-                self._handle(item)
-                self._dispatch_queued()  # refill before report
-            if (
-                deadline is not None
-                and not self._events
-                and time.monotonic() >= deadline
-            ):
-                return None
+        return dict(super().stats(), leases=len(self._leases))
 
     def close(self) -> None:
         """Release every lease, keep every agent (links are owned by the
@@ -507,66 +434,51 @@ class LeasePool(DispatchPool):
         self._leases.clear()
         self._queue.clear()
 
-    # -- inbox ------------------------------------------------------------
+    # -- dispatch-core hooks ----------------------------------------------
 
-    def _drain_inbox(self) -> None:
+    def _executors(self) -> List[AgentLink]:
+        return [l for l in self.registry.live_links() if not l.lost]
+
+    def _outstanding(self) -> bool:
+        return bool(self._leases)
+
+    def _write(self, link: AgentLink, kind: str, data: Dict[str, Any],
+               corrupt: bool = False) -> bool:
+        return self.registry.send(link, kind, data, corrupt=corrupt)
+
+    def _scan_liveness(self) -> None:
+        self._scan_leases()
+        # An agent silent past the lease deadline is partitioned; its
+        # leases requeue through the loss path.
+        self._scan_silence(
+            max(self.effective_lease_timeout(), 4 * self.heartbeat_interval)
+        )
+        self._steal_work()
+        self._check_agentless()
+
+    def _collect(self, deadline: Optional[float]) -> bool:
+        """Wait for the first registry message, then apply every one
+        already queued."""
+        try:
+            item = self.registry.inbox.get(timeout=self._wait_budget(deadline))
+        except queue.Empty:
+            return False
         while True:
+            kind = item[0]
+            if kind == "joined":
+                self._agentless_since = None
+            elif kind == "lost":
+                self._lose(item[1], "crash")
+            elif kind == "result":
+                self._accept_result(item[1], item[2])
             try:
                 item = self.registry.inbox.get_nowait()
             except queue.Empty:
-                return
-            self._handle(item)
+                return False
 
-    def _handle(self, item: Tuple) -> None:
-        kind = item[0]
-        if kind == "joined":
-            self._agentless_since = None
-        elif kind == "lost":
-            self._lose_link(item[1], "crash")
-        elif kind == "result":
-            self._accept_result(item[1], item[2])
+    # -- leases -----------------------------------------------------------
 
-    # -- dispatch and leases ----------------------------------------------
-
-    def _dispatch_queued(self) -> None:
-        plan = self.fault_plan
-        for link in self.registry.live_links():
-            if link.lost:
-                continue
-            while self._queue and len(link.in_flight) < link.capacity:
-                task = self._queue[0]
-                count = self._dispatched.get(task.index, 0) + 1
-                if plan is not None and plan.fires(
-                    "net_partition", task.key, count
-                ):
-                    # Same semantics as AgentPool: the dispatch is spent
-                    # (transient partitions clear on re-dispatch) and
-                    # the link fails over.
-                    self._dispatched[task.index] = count
-                    self._lose_link(link, "crash")
-                    self.registry.kill(link)
-                    break
-                corrupt = plan is not None and plan.fires(
-                    "message_corrupt", task.key, count
-                )
-                if not self._send_task(link, task, count, corrupt):
-                    self._lose_link(link, "crash")
-                    break
-                self._queue.popleft()
-                self._dispatched[task.index] = count
-                self._grant(task, link, count)
-            if not self._queue:
-                break
-
-    def _send_task(self, link: ServiceLink, task: Task, count: int,
-                   corrupt: bool = False) -> bool:
-        return self.registry.send(link, "task", {
-            "key": task.key,
-            "dispatch": count,
-            "payload": payload_to_wire(task.payload),
-        }, corrupt=corrupt)
-
-    def _grant(self, task: Task, link: ServiceLink, count: int) -> None:
+    def _grant(self, link: AgentLink, task: Task, count: int) -> None:
         """Record a lease — WAL first, then bookkeeping."""
         self._on_lease(task.index, task.attempt, link.label)
         obs_metrics.counter("service.leases").inc()
@@ -582,21 +494,21 @@ class LeasePool(DispatchPool):
             lease.forced = True
         link.in_flight[task.index] = task
 
-    def _expire(self, index: int, reason: str, kind: str) -> None:
+    def _expire(self, index: int, reason: str) -> None:
         """Requeue a leased setup at the same attempt (WAL first)."""
-        lease = self._leases.pop(index, None)
-        if lease is None:
-            return
+        lease = self._leases.pop(index)
         self._on_requeue(index, lease.task.attempt, reason)
         obs_metrics.counter("service.requeues").inc()
-        label = lease.links[0].label if lease.links else ""
-        slot = lease.links[0].slot if lease.links else -1
+        obs_metrics.counter("service.leases_expired").inc()
         for link in lease.links:
             link.in_flight.pop(index, None)
-        self._queue.appendleft(lease.task)
-        self._events.append(PoolEvent(
-            kind, worker=slot, tasks=[lease.task], label=label,
-        ))
+        first = lease.links[0] if lease.links else None
+        self._fail_over(
+            "hang",
+            first.slot if first else -1,
+            [lease.task],
+            first.label if first else "",
+        )
 
     def _scan_leases(self) -> None:
         now = time.monotonic()
@@ -604,26 +516,13 @@ class LeasePool(DispatchPool):
         for index in sorted(self._leases):
             lease = self._leases[index]
             if lease.forced:
-                obs_metrics.counter("service.leases_expired").inc()
-                self._expire(index, "lease_expire", "hang")
+                self._expire(index, "lease_expire")
             elif now - lease.granted > timeout:
-                obs_metrics.counter("service.leases_expired").inc()
-                self._expire(index, "lease_timeout", "hang")
+                self._expire(index, "lease_timeout")
 
-    def _scan_links(self) -> None:
-        """An agent silent past the lease deadline is partitioned: kill
-        the link; its leases requeue through the loss path."""
-        now = time.monotonic()
-        timeout = max(
-            self.effective_lease_timeout(), 4 * self.heartbeat_interval
-        )
-        for link in self.registry.live_links():
-            if now - link.last_recv > timeout:
-                self._lose_link(link, "hang")
-                self.registry.kill(link)
-
-    def _lose_link(self, link: ServiceLink, reason: str) -> None:
-        """Requeue every lease held *solely* by a lost agent."""
+    def _lose(self, link: AgentLink, reason: str) -> None:
+        """Requeue every lease held *solely* by a lost agent, and make
+        sure its transport is closed."""
         if id(link) in self._lost:
             return
         self._lost.add(id(link))
@@ -641,21 +540,12 @@ class LeasePool(DispatchPool):
             obs_metrics.counter("service.requeues").inc()
             del self._leases[index]
             requeued.append(task)
-        for task in reversed(requeued):
-            # Failover, not retry: head of the queue, same attempt.
-            self._queue.appendleft(task)
-        self._events.append(PoolEvent(
-            reason, worker=link.slot, tasks=requeued, label=link.label,
-        ))
+        self._fail_over(reason, link.slot, requeued, link.label)
+        self.registry.kill(link)
 
-    def _accept_result(self, link: ServiceLink, data: Dict[str, Any]) -> None:
-        outcome = data.get("outcome")
-        if not isinstance(outcome, list) or len(outcome) != 4:
-            self._lose_link(link, "crash")
-            self.registry.kill(link)
-            return
+    def _settle(self, link: AgentLink, outcome: Tuple,
+                data: Dict[str, Any]) -> None:
         index, attempt = outcome[1], outcome[2]
-        link.results += 1
         lease = self._leases.get(index)
         if (
             lease is None
@@ -674,21 +564,14 @@ class LeasePool(DispatchPool):
         del self._leases[index]
         for holder in lease.links:
             holder.in_flight.pop(index, None)
-        self._events.append(PoolEvent(
-            "result",
-            worker=link.slot,
-            task=lease.task,
-            result=tuple(outcome),
-            records=data.get("records"),
-            label=link.label,
-        ))
+        self._result_event(link, lease.task, outcome, data)
 
     def _steal_work(self) -> None:
         """Rebalance: an idle agent takes the newest solely-held lease
         of any agent holding several; the first result wins."""
         if self._queue or self._degraded:
             return
-        links = [l for l in self.registry.live_links() if not l.lost]
+        links = self._executors()
         idle = [l for l in links if not l.in_flight]
         if not idle:
             return
@@ -708,7 +591,7 @@ class LeasePool(DispatchPool):
                 continue
             self._dispatched[task.index] = count
             obs_metrics.counter("service.steals").inc()
-            self._grant(task, thief, count)
+            self._grant(thief, task, count)
 
     def _check_agentless(self) -> None:
         """Degrade honestly when work is stuck with nobody to do it."""
@@ -723,17 +606,14 @@ class LeasePool(DispatchPool):
             return
         if self._degraded:
             return
-        self._degraded = True
-        remaining: List[Task] = []
+        leased: List[Task] = []
         for index in sorted(self._leases):
             lease = self._leases[index]
             self._on_requeue(index, lease.task.attempt, "no_agents")
-            remaining.append(lease.task)
+            leased.append(lease.task)
         self._leases.clear()
-        remaining.extend(self._queue)
-        self._queue.clear()
         obs_metrics.counter("service.degraded_studies").inc()
-        self._events.append(PoolEvent("degraded", tasks=remaining))
+        self._degrade(leased)
 
 
 # -- the coordinator ---------------------------------------------------------
@@ -1169,39 +1049,27 @@ class ServiceCoordinator:
         feeding the registry inbox until the connection dies."""
         peer = writer.get_extra_info("peername") or ("?", 0)
         label = f"{peer[0]}:{peer[1]}"
-        link: Optional[ServiceLink] = None
+        link: Optional[AgentLink] = None
         try:
-            nonce = secrets.token_hex(16)
-            writer.write(encode_message("challenge", {
-                "protocol": PROTOCOL_VERSION, "nonce": nonce,
-            }))
+            opening = challenge()
+            writer.write(encode_message("challenge", opening))
             await writer.drain()
             kind, data = await self._read_frame(reader, timeout=30.0)
             if kind != "register":
                 raise ProtocolError(f"expected register, got {kind!r}")
-            if data.get("protocol") != PROTOCOL_VERSION:
-                writer.write(encode_message("error", {
-                    "message": f"protocol mismatch: coordinator speaks "
-                               f"{PROTOCOL_VERSION}",
-                }))
-                await writer.drain()
-                raise ProtocolError("protocol version mismatch")
-            if self.secret is not None:
-                proof = data.get("auth")
-                expected = auth_proof(self.secret, nonce)
-                if not (isinstance(proof, str)
-                        and hmac.compare_digest(proof, expected)):
+            refused = refusal(data, opening["nonce"], self.secret,
+                              "coordinator")
+            if refused is not None:
+                if refused.get("code") == "auth":
                     obs_metrics.counter("service.auth_failures").inc()
-                    writer.write(encode_message("error", {
-                        "code": "auth",
-                        "message": "authentication failed: coordinator "
-                                   "requires a shared secret (--secret)",
-                    }))
-                    await writer.drain()
-                    raise ProtocolError("agent failed authentication")
+                writer.write(encode_message("error", refused))
+                await writer.drain()
+                raise ProtocolError(
+                    f"refused agent {label}: {refused['message']}"
+                )
             writer.write(encode_message("registered", self._session_doc()))
             await writer.drain()
-            link = ServiceLink(self.registry.next_slot(), label, data, writer)
+            link = AgentLink(self.registry.next_slot(), label, data, writer)
             self.registry.register(link)
             self._log(
                 f"agent {label} registered "

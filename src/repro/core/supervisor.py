@@ -11,7 +11,8 @@ parent actively supervises:
   ``heartbeat_interval`` seconds; the parent reads the slots on every
   poll, so liveness is a property it *observes*, not one it assumes;
 - **crash detection** — a dead PID (process sentinel) or a broken pipe
-  is detected within one poll interval, whatever the worker was doing;
+  is detected within one supervision tick, whatever the worker was
+  doing;
 - **hang detection** — a busy worker whose heartbeat goes stale past
   ``hang_timeout`` is declared wedged and killed; the engine-level
   watchdogs catch a hung *task*, this catches a hung *process*;
@@ -49,7 +50,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
-from typing import Any, Callable, Deque, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
 
 from repro import faults
 from repro.obs import metrics as obs_metrics
@@ -77,6 +78,12 @@ _ADAPTIVE_CEILING = 120.0
 #: heartbeats) means the *parent* stalled — SIGSTOP, suspend/resume, a
 #: debugger — and every heartbeat is stale by the same amount.
 _PARENT_STALL_FLOOR = 1.0
+
+#: Longest one :meth:`DispatchPool.poll` pass blocks waiting for its
+#: executors (never longer than a heartbeat) before the pool re-runs its
+#: liveness scans.  Results, deaths and wake-ups end the wait early, so
+#: this bounds only how stale a scan can get on a quiet pool.
+SUPERVISION_TICK = 0.05
 
 
 def adaptive_deadline(
@@ -141,13 +148,11 @@ class PoolEvent:
       return value and ``records`` the worker's trace-span dicts (None
       when tracing is off);
     - ``"crash"`` — a worker died (dead PID / broken pipe; for remote
-      pools: the connection was lost); ``task`` is the in-flight task
-      that was requeued, or None if it was idle — remote pools, whose
-      workers run several tasks at once, list every requeued task in
-      ``tasks`` instead;
+      pools: the connection was lost); ``tasks`` lists every in-flight
+      task that was requeued (empty if the worker was idle);
     - ``"hang"`` — a worker missed its heartbeat deadline and was
-      killed (for remote pools: declared partitioned); ``task`` /
-      ``tasks`` as for ``"crash"``;
+      killed (for remote pools: declared partitioned, or a lease
+      expired); ``tasks`` as for ``"crash"``;
     - ``"respawn"`` — a replacement worker was started in the failed
       worker's slot (for remote pools: the agent was reconnected);
     - ``"degraded"`` — the respawn (or reconnect) budget is spent and
@@ -169,38 +174,87 @@ class PoolEvent:
 
 
 class DispatchPool:
-    """Transport-agnostic dispatch interface the sweep runner drives.
+    """The dispatch core every pool shares; the sweep runner drives it.
 
     A dispatch pool moves opaque :class:`Task` payloads to executors
     (local worker processes, remote agents over TCP, ...) and reports
     everything that happens as a stream of :class:`PoolEvent` values.
-    The contract the runner relies on:
+    This class owns the contract the runner relies on:
 
     - :meth:`submit` queues a task; dispatch happens inside
       :meth:`poll`, so a caller that stops polling stops supervision;
     - :meth:`poll` returns the next event, or None when the pool is
-      drained (nothing queued, nothing in flight) or ``timeout``
-      elapses;
+      drained (nothing queued, nothing in flight), ``timeout`` elapses,
+      or a transport hook reports a wake-up;
+    - tasks go out head of the queue first, and each index's dispatches
+      are numbered 1, 2, ... — the numbers chaos-fault draws key on;
     - refill before report: when :meth:`poll` collects a result, the
       executor it freed is handed its next queued task *before* the
       result is returned, so the caller's per-result bookkeeping
       overlaps the next run instead of delaying it;
-    - a failed executor's in-flight tasks are requeued **at the same
-      attempt number** — infrastructure failure never consumes a
-      measurement's retry budget;
-    - after a ``"degraded"`` event the pool is spent: the caller owns
-      every task the event carries (plus any it still tracks as
-      outstanding) and must finish them itself;
+    - a failed executor's in-flight tasks are requeued at the head of
+      the queue **at the same attempt number** — infrastructure failure
+      never consumes a measurement's retry budget;
+    - after the single ``"degraded"`` event the pool is spent: the
+      caller owns every task the event carries (plus any it still
+      tracks as outstanding) and must finish them itself;
     - :meth:`close` releases every executor and is idempotent.
+
+    A pool supplies only its transport and its policy, through the
+    hooks below: its live executors and their load (each executor has a
+    ``capacity``), the send of one task, the liveness scans that run at
+    the top of every pass, the blocking collection of results, and
+    :meth:`close`.
     """
+
+    def __init__(self, heartbeat_interval: float) -> None:
+        self.heartbeat_interval = heartbeat_interval
+        self._queue: Deque[Task] = collections.deque()
+        self._events: Deque[PoolEvent] = collections.deque()
+        self._dispatched: Dict[int, int] = {}
+        self._degraded = False
+        self._closed = False
 
     def submit(self, task: Task) -> None:
         """Queue ``task`` for dispatch on the next :meth:`poll`."""
-        raise NotImplementedError
+        self._queue.append(task)
 
     def poll(self, timeout: Optional[float] = None) -> Optional[PoolEvent]:
-        """The next supervision event (None: drained or timed out)."""
-        raise NotImplementedError
+        """The next supervision event (None: drained, timed out or woken).
+
+        Each pass dispatches, runs the pool's liveness scans, blocks in
+        the transport until a result or failure arrives (one supervision
+        tick at most), and refills every freed executor before it
+        reports anything it collected.
+        """
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            if self._events:
+                return self._events.popleft()
+            if not self._queue and not self._outstanding():
+                return None
+            self._dispatch_queued()
+            self._scan_liveness()
+            if self._events:
+                continue  # a dispatch or a scan failed an executor
+            woken = self._collect(deadline)
+            self._dispatch_queued()  # refill before report
+            if self._events:
+                continue
+            if woken or (
+                deadline is not None and time.monotonic() >= deadline
+            ):
+                return None
+
+    def stats(self) -> Dict[str, int]:
+        """Instantaneous utilisation for the metrics timeline: live and
+        busy executors, and queued (undispatched) task depth."""
+        loads = [self._load(ex) for ex in self._executors()]
+        return {
+            "workers_alive": len(loads),
+            "workers_busy": sum(1 for load in loads if load),
+            "queue_depth": len(self._queue),
+        }
 
     def close(self) -> None:
         """Release every executor (idempotent)."""
@@ -212,6 +266,76 @@ class DispatchPool:
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.close()
         return False
+
+    # -- shared steps -----------------------------------------------------
+
+    def _dispatch_queued(self) -> None:
+        for executor in self._executors():
+            while self._queue and self._load(executor) < executor.capacity:
+                task = self._queue[0]  # pop only after a successful send
+                count = self._dispatched.get(task.index, 0) + 1
+                if not self._send(executor, task, count):
+                    break  # the executor failed over; try the next one
+                self._queue.popleft()
+                self._dispatched[task.index] = count
+
+    def _fail_over(
+        self, reason: str, worker: int, tasks: List[Task], label: str = ""
+    ) -> None:
+        """Report a failed executor and requeue its tasks: failover, not
+        retry — back to the head of the queue, in order, at the same
+        measurement attempt."""
+        self._queue.extendleft(reversed(tasks))
+        self._events.append(
+            PoolEvent(reason, worker=worker, tasks=list(tasks), label=label)
+        )
+
+    def _degrade(self, leased: Sequence[Task] = ()) -> None:
+        """No executor left and none coming: hand every unfinished task
+        (``leased`` first, then the queue) back, once, so the caller can
+        degrade honestly instead of stalling forever."""
+        if self._degraded:
+            return
+        self._degraded = True
+        tasks = list(leased) + list(self._queue)
+        self._queue.clear()
+        self._events.append(PoolEvent("degraded", tasks=tasks))
+
+    def _wait_budget(self, deadline: Optional[float]) -> float:
+        """How long one pass may block in :meth:`_collect`: a supervision
+        tick (never longer than a heartbeat), cut short by ``deadline``."""
+        wait = min(SUPERVISION_TICK, self.heartbeat_interval)
+        if deadline is not None:
+            wait = max(0.0, min(wait, deadline - time.monotonic()))
+        return wait
+
+    # -- transport and policy hooks ---------------------------------------
+
+    def _executors(self) -> List[Any]:
+        """Live executors, in dispatch order."""
+        raise NotImplementedError
+
+    def _load(self, executor: Any) -> int:
+        """Tasks ``executor`` is running."""
+        raise NotImplementedError
+
+    def _outstanding(self) -> bool:
+        """Whether any dispatched task is still unsettled."""
+        return any(self._load(ex) for ex in self._executors())
+
+    def _send(self, executor: Any, task: Task, count: int) -> bool:
+        """Hand ``task`` to ``executor`` as dispatch number ``count``;
+        False when the executor failed over instead."""
+        raise NotImplementedError
+
+    def _scan_liveness(self) -> None:
+        """The pool's own failure policy, run at the top of every pass."""
+        raise NotImplementedError
+
+    def _collect(self, deadline: Optional[float]) -> bool:
+        """Block for at most :meth:`_wait_budget` and gather what arrived
+        into events; True when the caller asked to be woken."""
+        raise NotImplementedError
 
 
 def _worker_main(
@@ -280,6 +404,9 @@ class _Worker:
 
     __slots__ = ("slot", "proc", "conn", "task", "dispatched_at")
 
+    #: A worker process runs one task at a time.
+    capacity = 1
+
     def __init__(self, slot: int, proc, conn) -> None:
         self.slot = slot
         self.proc = proc
@@ -310,7 +437,6 @@ class SupervisedPool(DispatchPool):
             its lifetime before degrading.
         tracing: when True, workers trace each task into a fresh tracer
             and ship the span records back with the result.
-        poll_interval: parent-side supervision granularity (seconds).
         context: multiprocessing context (default: the platform's).
         child_setup: module-level callable run first thing in every
             worker child.  Fork-started children inherit every open file
@@ -326,6 +452,12 @@ class SupervisedPool(DispatchPool):
             message.  The caller drains it.
     """
 
+    # Bound here, not only inherited, so each pool's entry points live
+    # in its own class namespace: perfbench wraps ``vars(cls)[name]`` and
+    # so times the supervisor and the lease layer apart.
+    submit = DispatchPool.submit
+    poll = DispatchPool.poll
+
     def __init__(
         self,
         workers: int,
@@ -335,20 +467,18 @@ class SupervisedPool(DispatchPool):
         hang_timeout: Optional[float] = None,
         max_respawns: int = 8,
         tracing: bool = False,
-        poll_interval: float = 0.05,
         context=None,
         child_setup: Optional[Callable[[], None]] = None,
         wake=None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
+        super().__init__(heartbeat_interval)
         self.task_fn = task_fn
         self.fault_plan = fault_plan
-        self.heartbeat_interval = heartbeat_interval
         self.hang_timeout = hang_timeout
         self.max_respawns = max_respawns
         self.tracing = tracing
-        self.poll_interval = poll_interval
         self.child_setup = child_setup
         self.wake = wake
         self._ctx = context if context is not None else mp.get_context()
@@ -360,12 +490,8 @@ class SupervisedPool(DispatchPool):
         self._durations = obs_metrics.Histogram(
             "supervisor.task_seconds", window=_ADAPTIVE_WINDOW
         )
-        self._queue: Deque[Task] = collections.deque()
-        self._events: Deque[PoolEvent] = collections.deque()
-        self._dispatched: Dict[int, int] = {}
         self._workers: List[_Worker] = []
         self._respawns = 0
-        self._closed = False
         #: Parent-side stalls detected (and credited back to workers).
         self.parent_stalls = 0
         self._last_scan = time.monotonic()
@@ -378,24 +504,6 @@ class SupervisedPool(DispatchPool):
     def respawns(self) -> int:
         """Replacement workers started so far."""
         return self._respawns
-
-    def dispatch_count(self, index: int) -> int:
-        """How many times task ``index`` has been sent to a worker."""
-        return self._dispatched.get(index, 0)
-
-    def alive_workers(self) -> int:
-        return sum(1 for w in self._workers if w.proc.is_alive())
-
-    def stats(self) -> Dict[str, int]:
-        """Instantaneous utilisation for the metrics timeline: worker
-        liveness/busyness and queued (undispatched) task depth."""
-        return {
-            "workers_alive": self.alive_workers(),
-            "workers_busy": sum(
-                1 for w in self._workers if w.task is not None
-            ),
-            "queue_depth": len(self._queue),
-        }
 
     def effective_hang_timeout(self) -> float:
         """The hang threshold in force for the next liveness scan.
@@ -440,45 +548,6 @@ class SupervisedPool(DispatchPool):
         child_conn.close()
         return _Worker(slot, proc, parent_conn)
 
-    def submit(self, task: Task) -> None:
-        """Queue a task; it is dispatched on the next :meth:`poll`."""
-        self._queue.append(task)
-
-    def poll(self, timeout: Optional[float] = None) -> Optional[PoolEvent]:
-        """The next supervision event.
-
-        Returns None when the pool is drained — nothing queued, nothing
-        in flight, no buffered events — when ``timeout`` seconds pass
-        without an event, or when the ``wake`` handle fires.
-        Dispatching, result collection, crash/hang detection and
-        respawning all happen inside this call; a caller that stops
-        polling stops supervision.  A worker freed by a result is given
-        its next queued task before that result is returned.
-        """
-        deadline = (
-            None if timeout is None else time.monotonic() + timeout
-        )
-        while True:
-            if self._events:
-                return self._events.popleft()
-            if not self._queue and all(
-                w.task is None for w in self._workers
-            ):
-                return None
-            self._dispatch_queued()
-            if self._events:
-                continue  # a dispatch may have failed a worker
-            woken = self._wait_for_activity(deadline)
-            self._reap_results()
-            self._scan_liveness()
-            self._dispatch_queued()  # refill before report
-            if self._events:
-                continue
-            if woken or (
-                deadline is not None and time.monotonic() >= deadline
-            ):
-                return None
-
     def close(self) -> None:
         """Shut every worker down (politely, then not)."""
         if self._closed:
@@ -505,54 +574,53 @@ class SupervisedPool(DispatchPool):
         self._workers.clear()
         self._queue.clear()
 
-    def __enter__(self) -> "SupervisedPool":
-        return self
+    # -- dispatch-core hooks ----------------------------------------------
 
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close()
-        return False
+    def _executors(self) -> List[_Worker]:
+        return [w for w in self._workers if w.proc.is_alive()]
 
-    # -- supervision internals --------------------------------------------
+    def _load(self, w: _Worker) -> int:
+        return 0 if w.task is None else 1
 
-    def _dispatch_queued(self) -> None:
-        for w in list(self._workers):
-            if not self._queue:
-                return
-            if w.task is not None or not w.proc.is_alive():
-                continue
-            task = self._queue[0]  # pop only after a successful send
-            count = self._dispatched.get(task.index, 0) + 1
-            try:
-                w.conn.send((task.key, count, task.payload))
-            except (BrokenPipeError, OSError):
-                self._fail(w, "crash")
-                continue
-            self._queue.popleft()
-            self._dispatched[task.index] = count
-            w.task = task
-            w.dispatched_at = time.monotonic()
-            # Reset the slot so a worker that beat long ago (idle wait)
-            # gets a full hang_timeout for this task.
-            self._heartbeats[w.slot] = w.dispatched_at
+    def _outstanding(self) -> bool:
+        # Every worker, dead or alive: a dead worker's task is still
+        # owed to the caller until the next scan fails it over.
+        return any(w.task is not None for w in self._workers)
 
-    def _wait_for_activity(self, deadline: Optional[float]) -> bool:
+    def _send(self, w: _Worker, task: Task, count: int) -> bool:
+        try:
+            w.conn.send((task.key, count, task.payload))
+        except (BrokenPipeError, OSError):
+            self._fail(w, "crash")
+            return False
+        w.task = task
+        w.dispatched_at = time.monotonic()
+        # Reset the slot so a worker that beat long ago (idle wait)
+        # gets a full hang_timeout for this task.
+        self._heartbeats[w.slot] = w.dispatched_at
+        return True
+
+    def _collect(self, deadline: Optional[float]) -> bool:
         """Block until a busy worker reports, a worker dies, the wake
-        handle fires, one supervision tick passes or ``deadline``
-        arrives; True when the wake handle fired."""
+        handle fires or the pass's wait budget runs out, then reap every
+        result; True when the wake handle fired."""
         handles = [w.conn for w in self._workers if w.task is not None]
         handles += [w.proc.sentinel for w in self._workers]
         if self.wake is not None:
             handles.append(self.wake)
-        if not handles:
-            return False
-        wait = min(self.poll_interval, self.heartbeat_interval)
-        if deadline is not None:
-            wait = max(0.0, min(wait, deadline - time.monotonic()))
-        try:
-            ready = mp_connection.wait(handles, wait)
-        except OSError:
-            return False
-        return self.wake is not None and self.wake in ready
+        woken = False
+        if handles:
+            try:
+                ready = mp_connection.wait(
+                    handles, self._wait_budget(deadline)
+                )
+            except OSError:
+                ready = []
+            woken = self.wake is not None and self.wake in ready
+        self._reap_results()
+        return woken
+
+    # -- supervision internals --------------------------------------------
 
     def _reap_results(self) -> None:
         for w in list(self._workers):
@@ -570,17 +638,20 @@ class SupervisedPool(DispatchPool):
             except (EOFError, OSError):
                 self._fail(w, "crash")
                 continue
-            task, w.task = w.task, None
             self._durations.observe(time.monotonic() - w.dispatched_at)
-            self._events.append(
-                PoolEvent(
-                    "result",
-                    worker=w.slot,
-                    task=task,
-                    result=result,
-                    records=records,
-                )
+            self._report(w, result, records)
+
+    def _report(self, w: _Worker, result: Any, records) -> None:
+        task, w.task = w.task, None
+        self._events.append(
+            PoolEvent(
+                "result",
+                worker=w.slot,
+                task=task,
+                result=result,
+                records=records,
             )
+        )
 
     def _scan_liveness(self) -> None:
         now = time.monotonic()
@@ -627,16 +698,7 @@ class SupervisedPool(DispatchPool):
         try:
             while w.task is not None and w.conn.poll(0):
                 result, records = w.conn.recv()
-                task, w.task = w.task, None
-                self._events.append(
-                    PoolEvent(
-                        "result",
-                        worker=w.slot,
-                        task=task,
-                        result=result,
-                        records=records,
-                    )
-                )
+                self._report(w, result, records)
         except (EOFError, OSError):
             pass
         task, w.task = w.task, None
@@ -653,19 +715,10 @@ class SupervisedPool(DispatchPool):
         except OSError:
             pass
         self._workers.remove(w)
-        if task is not None:
-            # Failover, not retry: back to the head of the queue at the
-            # same measurement attempt.
-            self._queue.appendleft(task)
-        self._events.append(PoolEvent(reason, worker=w.slot, task=task))
+        self._fail_over(reason, w.slot, [] if task is None else [task])
         if self._respawns < self.max_respawns:
             self._respawns += 1
             self._workers.append(self._spawn(w.slot))
             self._events.append(PoolEvent("respawn", worker=w.slot))
         elif not self._workers:
-            # Budget spent and nobody left: hand every unfinished task
-            # back so the caller can degrade honestly instead of
-            # stalling forever.
-            remaining = list(self._queue)
-            self._queue.clear()
-            self._events.append(PoolEvent("degraded", tasks=remaining))
+            self._degrade()

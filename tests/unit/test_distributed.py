@@ -6,9 +6,10 @@ partitions, corrupted frames) — produces a report byte-identical to the
 fault-free serial run; a roster with no live agent left degrades
 honestly to local execution; a bad roster fails loudly before any
 measurement; remote spans are grafted under host-qualified aliases;
-the manifest names every host that served results; and dispatch is
+the manifest names every host that served results; dispatch is
 event-driven: an agent starts a task frame without waiting on a timer,
-and the coordinator refills a freed agent before it reports.
+and the coordinator refills a freed agent before it reports; and the
+agent pool reports the worker gauges a metrics timeline samples.
 """
 
 import contextlib
@@ -389,10 +390,10 @@ class TestEventDrivenDispatch:
         runs = time.monotonic() - started  # the six runs' own time
         pause = 0.02  # a coordinator's bookkeeping between two setups
         with lone_agent(jobs=1) as server:
-            # Stretch a timer-driven idle wait (sleeping poll_interval / 4
-            # with an empty pool) to 0.5 s per task, far beyond the runs'
-            # noise, so a regression to one cannot hide.
-            server.poll_interval = 2.0
+            # The bound below allows each task 0.25 s between its frame
+            # landing and its result going out, beyond the runs' own
+            # time: far above their noise, so only an agent that leaves
+            # a landed task frame waiting on a timer fails it.
             sock = open_session(server)
             try:
                 started = time.monotonic()
@@ -411,14 +412,14 @@ class TestEventDrivenDispatch:
     def test_spare_worker_takes_a_task_while_another_runs(self):
         slow, quick = make_task(0, delay=1.5), make_task(1)
         with lone_agent(jobs=2) as server:
-            # Likewise a timer-bounded poll (poll_interval) would park
-            # the quick task until the slow one finishes.
-            server.poll_interval = 2.0
+            # The quick task's result must lead the slow one's by more
+            # than 0.3 s (asserted below): an agent that parked it behind
+            # the busy worker would report the two back to back.
             sock = open_session(server)
             try:
                 send_task(sock, slow)
-                # Longer than that stretched idle wait: the slow task is
-                # surely running when the quick one lands.
+                # The slow task is surely running when the quick one
+                # lands.
                 time.sleep(0.6)
                 send_task(sock, quick, dispatch=7)
                 first = recv_result(sock)
@@ -452,6 +453,33 @@ class TestEventDrivenDispatch:
                 assert link.in_flight == {second.index: second}
                 event = pool.poll(timeout=30.0)
                 assert event.kind == "result" and event.task is second
+            finally:
+                pool.close()
+
+
+class TestTimelineGauges:
+    def test_agent_pool_stats_counts_agents_and_queue(self):
+        """A ``--hosts`` sweep's metrics timeline reads the agent pool's
+        own gauges — live agents, busy agents and undispatched tasks —
+        not the serial-mode placeholders."""
+        tasks = [make_task(index, delay=0.5) for index in range(5)]
+        with lone_agent(jobs=2) as server:
+            pool = dist.AgentPool(
+                hosts=[server.address],
+                hello=dist.build_hello(None, 0.05, 2.0, 2, False),
+                heartbeat_interval=0.05,
+                hang_timeout=2.0,
+            )
+            try:
+                for task in tasks:
+                    pool.submit(task)
+                # Two tasks fill the agent's jobs; none is back yet.
+                assert pool.poll(timeout=0.1) is None
+                assert pool.stats() == {
+                    "workers_alive": 1,
+                    "workers_busy": 1,
+                    "queue_depth": 3,
+                }
             finally:
                 pool.close()
 

@@ -6,18 +6,23 @@ exactly; the study-queue WAL replays, survives torn tails, and compacts
 verifiably; ``repro fsck`` audits and repairs it; the lease pool grants,
 expires, steals, refills a freed agent before it reports, and dedups
 at-least-once dispatch into exactly-once accounting (by attempt and
-echoed task key, across studies too); the HTTP admission path rejects
-with typed errors and survives injected client disconnects; dial-in
-agent reconnects follow the pinned seeded-backoff schedule; and a full
-in-process service run under chaos (one agent crash, injected lease
-expiries) publishes a report byte-identical to the fault-free serial
-sweep — twice, the second client's study fully store-served.
+echoed task key, across studies too); both remote pools fail a link
+over on a well-framed result with a malformed outcome; the HTTP
+admission path rejects with typed errors and survives injected client
+disconnects; dial-in agent reconnects follow the pinned seeded-backoff
+schedule, and a ``--secret`` coordinator refuses unproven, replayed and
+wrong-protocol registrations; and a full in-process service run under
+chaos (one agent crash, injected lease expiries) publishes a report
+byte-identical to the fault-free serial sweep — twice, the second
+client's study fully store-served.
 """
 
+import contextlib
 import dataclasses
 import json
 import os
 import queue
+import socket
 import threading
 import time
 
@@ -402,14 +407,13 @@ class FakeRegistry:
 
 
 def make_link(slot, jobs=2):
-    return svc.ServiceLink(slot, f"127.0.0.1:{9000 + slot}",
-                           {"jobs": jobs}, writer=None)
+    return dist.AgentLink(slot, f"127.0.0.1:{9000 + slot}",
+                          {"jobs": jobs}, conn=None)
 
 
 def make_pool(registry, **kwargs):
     kwargs.setdefault("lease_timeout", 30.0)
     kwargs.setdefault("heartbeat_interval", 1.0)
-    kwargs.setdefault("poll_interval", 0.01)
     kwargs.setdefault("agentless_grace", 30.0)
     return svc.LeasePool(registry, **kwargs)
 
@@ -659,14 +663,15 @@ class TestLeasePool:
             assert event.task is task
         assert second.poll() is None
 
-    def test_refills_a_freed_agent_before_reporting(self):
+    def test_refills_a_freed_agent_before_reporting(self, monkeypatch):
         """The agent a result frees is leased its next setup (WAL hook
         and task frame) before poll returns that result."""
         link = make_link(1, jobs=1)
         registry = FakeRegistry([link])
         leases = []
         # A long inbox wait makes the result arrive while poll blocks.
-        pool = make_pool(registry, poll_interval=5.0,
+        monkeypatch.setattr(supervisor, "SUPERVISION_TICK", 5.0)
+        pool = make_pool(registry,
                          on_lease=lambda *a: leases.append(a))
         t0, t1 = make_task(0), make_task(1)
         pool.submit(t0)
@@ -719,6 +724,190 @@ class TestLeasePool:
         assert stats["workers_alive"] == 1
         assert stats["workers_busy"] == 1
         assert stats["leases"] == 1 and stats["queue_depth"] == 0
+
+
+#: Result outcomes that pass the frame checksum but are not
+#: ``[kind, int index, int attempt, data]`` (a version-skewed agent).
+MALFORMED_OUTCOMES = {
+    "short": ["ok", 0, 1],
+    "list-index": ["ok", [0], 1, {}],
+    "string-index": ["ok", "0", 1, {}],
+}
+
+
+@contextlib.contextmanager
+def scripted_agent(outcome):
+    """A listening agent that completes the handshake and answers its
+    first task frame with a well-framed result carrying ``outcome``,
+    then holds the session until the coordinator hangs up."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        conn, _ = listener.accept()
+        with conn:
+            dist.send_message(conn, "challenge", {
+                "protocol": dist.PROTOCOL_VERSION, "nonce": "00" * 16,
+            })
+            dist.recv_message(conn)  # the coordinator's hello
+            dist.send_message(conn, "hello_ack", {
+                "protocol": dist.PROTOCOL_VERSION, "jobs": 1,
+            })
+            _, task = dist.recv_message(conn)
+            dist.send_message(conn, "result", {
+                "key": task["key"], "dispatch": task["dispatch"],
+                "outcome": outcome, "records": None,
+            })
+            try:
+                conn.recv(1)
+            except OSError:
+                pass
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield listener.getsockname()
+    finally:
+        listener.close()
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+
+
+class TestMalformedResults:
+    """A checksummed result frame whose outcome has the wrong shape
+    fails its link over at the same attempt, like a corrupt frame, in
+    both remote pools: it neither escapes ``poll`` nor strands its
+    setup in flight."""
+
+    @staticmethod
+    def assert_failed_over(event, task, pool):
+        assert event is not None and event.kind == "crash"
+        assert event.tasks == [task] and task.attempt == 1
+        # Requeued for the next dispatch, not stranded in flight.
+        assert pool.stats()["queue_depth"] == 1
+
+    def check_agent_pool(self, task, outcome):
+        with scripted_agent(outcome) as address:
+            pool = dist.AgentPool(
+                hosts=[address],
+                hello=dist.build_hello(None, 0.05, None, 2, False),
+                heartbeat_interval=0.05,
+                hang_timeout=30.0,
+                connect_timeout=3.0,
+            )
+            try:
+                pool.submit(task)
+                self.assert_failed_over(pool.poll(timeout=10.0), task, pool)
+            finally:
+                pool.close()
+
+    def check_lease_pool(self, task, outcome):
+        link = make_link(1)
+        registry = FakeRegistry([link])
+        pool = make_pool(registry)
+        pool.submit(task)
+        pool.poll(timeout=0.05)
+        message = dict(result_message(task), outcome=outcome)
+        registry.inbox.put(("result", link, message))
+        event, _ = poll_until(pool, "crash")
+        assert link in registry.killed
+        self.assert_failed_over(event, task, pool)
+
+    @pytest.mark.parametrize("shape", sorted(MALFORMED_OUTCOMES))
+    @pytest.mark.parametrize("pool_kind", ["agent", "lease"])
+    def test_malformed_outcome_fails_the_link_over(self, pool_kind, shape):
+        check = (
+            self.check_agent_pool if pool_kind == "agent"
+            else self.check_lease_pool
+        )
+        check(make_task(0), MALFORMED_OUTCOMES[shape])
+
+
+@pytest.fixture
+def secured_service(tmp_path):
+    """A coordinator with a shared secret, drained at teardown."""
+    coordinator = svc.ServiceCoordinator(
+        workdir=str(tmp_path / "svc"), secret="s3cret", quiet=True,
+    )
+    thread = threading.Thread(target=coordinator.run, daemon=True)
+    thread.start()
+    deadline = time.monotonic() + 10.0
+    while coordinator.http_port is None or coordinator.agent_port is None:
+        assert time.monotonic() < deadline, "service failed to start"
+        time.sleep(0.02)
+    try:
+        yield coordinator
+    finally:
+        svc._request("127.0.0.1", coordinator.http_port, "POST",
+                     "/v1/drain")
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+
+
+def register(coordinator, proof=None, secret=None,
+             protocol=dist.PROTOCOL_VERSION):
+    """One dial-in handshake as an agent would make it; ``secret``
+    answers the challenge, else ``proof`` is sent verbatim.  Returns the
+    reply and the proof that was sent."""
+    sock = socket.create_connection(
+        ("127.0.0.1", coordinator.agent_port), timeout=5.0
+    )
+    try:
+        kind, opening = dist.recv_message(sock)
+        assert kind == "challenge"
+        if secret is not None:
+            proof = dist.auth_proof(secret, opening["nonce"])
+        dist.send_message(sock, "register", {
+            "protocol": protocol, "hostname": "test", "pid": 1,
+            "agent_version": "test", "jobs": 1, "auth": proof,
+        })
+        reply, data = dist.recv_message(sock)
+        return reply, data, proof
+    finally:
+        sock.close()
+
+
+class TestDialInAuthentication:
+    """``repro serve`` checks every dialing agent: a fresh nonce per
+    session, a keyed proof, and refusal before registration."""
+
+    @pytest.mark.parametrize("proof", [None, "0" * 64],
+                             ids=["missing", "wrong"])
+    def test_missing_or_wrong_proof_is_refused_and_counted(
+        self, secured_service, proof
+    ):
+        before = obs_metrics.counter("service.auth_failures").value
+        reply, data, _ = register(secured_service, proof=proof)
+        assert reply == "error" and data.get("code") == "auth"
+        assert "authentication failed" in data["message"]
+        assert obs_metrics.counter(
+            "service.auth_failures").value == before + 1
+        # Never registered: no join ever reached the registry.
+        assert secured_service.registry.inbox.empty()
+        assert secured_service.registry.live_links() == []
+
+    def test_captured_proof_does_not_replay(self, secured_service):
+        reply, _, captured = register(secured_service, secret="s3cret")
+        assert reply == "registered"
+        replayed, data, _ = register(secured_service, proof=captured)
+        assert replayed == "error" and data.get("code") == "auth"
+
+    def test_wrong_protocol_is_refused(self, secured_service):
+        reply, data, _ = register(secured_service, secret="s3cret",
+                                  protocol=dist.PROTOCOL_VERSION - 1)
+        assert reply == "error" and "protocol mismatch" in data["message"]
+
+    def test_wrong_secret_agent_stops_after_one_dial(self, secured_service):
+        before = obs_metrics.counter("service.auth_failures").value
+        agent = dist.AgentServer(jobs=1, quiet=True, secret="wrong")
+        with pytest.raises(dist.AgentUnavailable,
+                           match="refused registration"):
+            agent.serve_connect(
+                "127.0.0.1", secured_service.agent_port,
+                backoff_base=0.01, max_retries=3, connect_timeout=3.0,
+            )
+        # One refused dial, no redial despite the retry budget.
+        assert obs_metrics.counter(
+            "service.auth_failures").value == before + 1
 
 
 class TestAdmissionControl:
