@@ -78,13 +78,13 @@ from typing import List, Optional
 from repro import faults, workloads
 from repro.arch import available_machines, get_machine
 from repro.core import Experiment, ExperimentalSetup
-from repro.core.bias import env_size_study, link_order_study, sample_link_orders
+from repro.core.bias import StudySpec
 from repro.core.errors import ReproError
 from repro.core.randomization import (
     evaluate_with_randomization,
     paired_random_setups,
 )
-from repro.core.report import render_series, render_table
+from repro.core.report import render_table
 from repro.core.runner import RunnerConfig, SweepRunner
 from repro.core.survey import generate_corpus, survey_table
 
@@ -105,6 +105,24 @@ def _add_setup_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--compiler", default="gcc", choices=["gcc", "icc"])
     parser.add_argument("--size", default="test", choices=["test", "train", "ref"])
     parser.add_argument("--seed", type=int, default=0)
+
+
+def _add_study_args(parser: argparse.ArgumentParser) -> None:
+    """One :class:`~repro.core.bias.StudySpec`'s fields, shared by
+    ``study`` and ``submit``."""
+    parser.add_argument("workload", choices=workloads.all_names())
+    parser.add_argument("parameter", choices=["env", "link"])
+    parser.add_argument(
+        "--base-opt", type=int, default=2, choices=[0, 1, 2, 3]
+    )
+    parser.add_argument(
+        "--treatment-opt", type=int, default=3, choices=[0, 1, 2, 3]
+    )
+    parser.add_argument("--env-start", type=int, default=100)
+    parser.add_argument("--env-stop", type=int, default=356)
+    parser.add_argument("--env-step", type=int, default=16)
+    parser.add_argument("--orders", type=int, default=6)
+    _add_setup_args(parser)
 
 
 def _positive_int(text: str) -> int:
@@ -467,26 +485,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_study(args: argparse.Namespace) -> int:
     """`repro study`: an env-size or link-order bias study."""
-    exp = Experiment(workloads.get(args.workload), size=args.size, seed=args.seed)
-    base = _setup_from_args(args, args.base_opt)
-    treatment = _setup_from_args(args, args.treatment_opt)
-    if args.parameter == "env":
-        sweep = list(range(args.env_start, args.env_stop, args.env_step))
-        setups = [
-            s.with_changes(env_bytes=env)
-            for env in sweep
-            for s in (base, treatment)
-        ]
-        orders = None
-    else:
-        orders = sample_link_orders(
-            exp.workload.module_names(), args.orders, seed=0
-        )
-        setups = [
-            s.with_changes(link_order=tuple(order))
-            for order in orders
-            for s in (base, treatment)
-        ]
+    spec = _spec_from_args(args)
+    exp, setups, base, treatment, points = spec.build()
     quarantined = _run_sweep(exp, setups, args)
     if quarantined:
         print(
@@ -494,22 +494,7 @@ def cmd_study(args: argparse.Namespace) -> int:
             "point; see the report above"
         )
         return 1
-    if args.parameter == "env":
-        study = env_size_study(exp, base, treatment, sweep)
-    else:
-        study = link_order_study(exp, base, treatment, orders=orders)
-    print(
-        render_series(
-            study.points,
-            study.speedups,
-            title=(
-                f"speedup of O{args.treatment_opt} over O{args.base_opt} "
-                f"across {args.parameter} ({args.workload}, {args.machine})"
-            ),
-            reference=1.0,
-        )
-    )
-    print("\n" + study.speedup_bias().summary_line())
+    sys.stdout.write(spec.tables(exp, base, treatment, points))
     return 0
 
 
@@ -1086,9 +1071,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return coordinator.run()
 
 
-def _spec_from_args(args: argparse.Namespace):
-    from repro.core.service import StudySpec
-
+def _spec_from_args(args: argparse.Namespace) -> StudySpec:
     return StudySpec(
         workload=args.workload,
         parameter=args.parameter,
@@ -1102,7 +1085,7 @@ def _spec_from_args(args: argparse.Namespace):
         compiler=args.compiler,
         size=args.size,
         seed=args.seed,
-        tag=args.tag,
+        tag=getattr(args, "tag", ""),
     )
 
 
@@ -1221,17 +1204,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(func=cmd_run)
 
     study = sub.add_parser("study", help="sweep an 'innocuous' parameter")
-    study.add_argument("workload", choices=workloads.all_names())
-    study.add_argument("parameter", choices=["env", "link"])
-    study.add_argument("--base-opt", type=int, default=2, choices=[0, 1, 2, 3])
-    study.add_argument(
-        "--treatment-opt", type=int, default=3, choices=[0, 1, 2, 3]
-    )
-    study.add_argument("--env-start", type=int, default=100)
-    study.add_argument("--env-stop", type=int, default=356)
-    study.add_argument("--env-step", type=int, default=16)
-    study.add_argument("--orders", type=int, default=6)
-    _add_setup_args(study)
+    _add_study_args(study)
     _add_runner_args(study)
     study.set_defaults(func=cmd_study)
 
@@ -1579,19 +1552,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit = sub.add_parser(
         "submit", help="submit a study to a running `repro serve`"
     )
-    submit.add_argument("workload", choices=workloads.all_names())
-    submit.add_argument("parameter", choices=["env", "link"])
-    submit.add_argument(
-        "--base-opt", type=int, default=2, choices=[0, 1, 2, 3]
-    )
-    submit.add_argument(
-        "--treatment-opt", type=int, default=3, choices=[0, 1, 2, 3]
-    )
-    submit.add_argument("--env-start", type=int, default=100)
-    submit.add_argument("--env-stop", type=int, default=356)
-    submit.add_argument("--env-step", type=int, default=16)
-    submit.add_argument("--orders", type=int, default=6)
-    _add_setup_args(submit)
+    _add_study_args(submit)
     submit.add_argument(
         "--tag", default="",
         help=(

@@ -9,16 +9,23 @@ Two layers:
 - :func:`detect_bias` — turn a set of outcome values (cycles or speedups)
   observed across setups into a :class:`BiasReport`;
 - :func:`env_size_study` / :func:`link_order_study` — run the paper's two
-  headline sweeps against an :class:`~repro.core.experiment.Experiment`.
+  headline sweeps against an :class:`~repro.core.experiment.Experiment`;
+- :class:`StudySpec` — one such study as a value: the setups it sweeps
+  and the tables it publishes, shared by ``repro study`` and the sweep
+  service.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields as dc_fields
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro import workloads
+from repro.arch import available_machines
 from repro.core.experiment import Experiment, Measurement
+from repro.core.report import render_series
+from repro.core.session import record_checksum
 from repro.core.setup import ExperimentalSetup
 from repro.core.stats import SummaryStats
 from repro.workloads.base import lcg_stream
@@ -245,3 +252,149 @@ def suite_bias_table(
         else:
             raise ValueError(f"unknown study parameter {parameter!r}")
     return results
+
+
+# --------------------------------------------------------------------------
+# Study specifications
+
+
+@dataclass(frozen=True)
+class StudySpec:
+    """One bias study, as a value — the unit clients submit.
+
+    ``repro study`` builds one from its arguments (same fields, same
+    defaults), so a CLI invocation and a submitted spec run the same
+    sweep and publish byte-identical reports.  ``tag`` is part of the
+    *study's* identity but not of any measurement's: two submissions
+    differing only by tag are distinct queue entries whose setups
+    content-address to the same store keys, so the second runs entirely
+    store-served.
+    """
+
+    workload: str
+    parameter: str = "env"
+    base_opt: int = 2
+    treatment_opt: int = 3
+    env_start: int = 100
+    env_stop: int = 356
+    env_step: int = 16
+    orders: int = 6
+    machine: str = "core2"
+    compiler: str = "gcc"
+    size: str = "test"
+    seed: int = 0
+    tag: str = ""
+
+    def to_dict(self) -> Dict[str, Any]:
+        """Plain-dict form (canonicalised by the checksum/WAL layers)."""
+        return {f.name: getattr(self, f.name) for f in dc_fields(self)}
+
+    def study_id(self) -> str:
+        """Content address of this spec — the service's study key.
+
+        A pure function of the spec, so identical submissions from any
+        number of clients dedup to one queue entry, one WAL lifecycle,
+        and one result document.
+        """
+        return record_checksum(self.to_dict())
+
+    @classmethod
+    def from_dict(cls, data: Any) -> "StudySpec":
+        """Validated parse; raises ``ValueError`` on anything malformed
+        (the API layer turns that into a 400, never a crashed study)."""
+        if not isinstance(data, dict):
+            raise ValueError("study spec must be a JSON object")
+        known = {f.name for f in dc_fields(cls)}
+        unknown = sorted(set(data) - known)
+        if unknown:
+            raise ValueError(f"unknown spec field(s): {', '.join(unknown)}")
+        if "workload" not in data:
+            raise ValueError("spec is missing required field 'workload'")
+        merged = {f.name: getattr(cls, f.name, None) for f in dc_fields(cls)
+                  if f.name != "workload"}
+        merged.update(data)
+        spec = cls(**merged)
+        if spec.workload not in workloads.all_names():
+            raise ValueError(f"unknown workload {spec.workload!r}")
+        if spec.parameter not in ("env", "link"):
+            raise ValueError("parameter must be 'env' or 'link'")
+        for name in ("base_opt", "treatment_opt"):
+            if getattr(spec, name) not in (0, 1, 2, 3):
+                raise ValueError(f"{name} must be an opt level 0-3")
+        if spec.machine not in available_machines():
+            raise ValueError(f"unknown machine {spec.machine!r}")
+        if spec.compiler not in ("gcc", "icc"):
+            raise ValueError("compiler must be 'gcc' or 'icc'")
+        if spec.size not in ("test", "train", "ref"):
+            raise ValueError("size must be test, train, or ref")
+        for name in ("env_start", "env_stop", "env_step", "orders", "seed"):
+            if not isinstance(getattr(spec, name), int):
+                raise ValueError(f"{name} must be an integer")
+        if spec.env_step < 1:
+            raise ValueError("env_step must be >= 1")
+        if spec.parameter == "env" and spec.env_stop <= spec.env_start:
+            raise ValueError("env sweep is empty (env_stop <= env_start)")
+        if spec.orders < 1:
+            raise ValueError("orders must be >= 1")
+        if not isinstance(spec.tag, str):
+            raise ValueError("tag must be a string")
+        return spec
+
+    def build(self) -> Tuple[Experiment, List[ExperimentalSetup],
+                             ExperimentalSetup, ExperimentalSetup, list]:
+        """Materialise the experiment, the setup list (base and
+        treatment at every point, in that order), both setups and the
+        points — what ``repro study`` and the service both sweep."""
+        exp = Experiment(
+            workloads.get(self.workload), size=self.size, seed=self.seed
+        )
+        base = ExperimentalSetup(
+            machine=self.machine, compiler=self.compiler,
+            opt_level=self.base_opt,
+        )
+        treatment = ExperimentalSetup(
+            machine=self.machine, compiler=self.compiler,
+            opt_level=self.treatment_opt,
+        )
+        if self.parameter == "env":
+            points = list(range(self.env_start, self.env_stop, self.env_step))
+            setups = [
+                s.with_changes(env_bytes=env)
+                for env in points
+                for s in (base, treatment)
+            ]
+        else:
+            points = sample_link_orders(
+                exp.workload.module_names(), self.orders, seed=0
+            )
+            setups = [
+                s.with_changes(link_order=tuple(order))
+                for order in points
+                for s in (base, treatment)
+            ]
+        return exp, setups, base, treatment, points
+
+    def tables(
+        self,
+        exp: Experiment,
+        base: ExperimentalSetup,
+        treatment: ExperimentalSetup,
+        points: list,
+    ) -> str:
+        """The published tables — the speedup series and its bias line —
+        from :meth:`build`'s values, once the sweep has primed ``exp``'s
+        run cache.  ``repro study`` prints them and the service stores
+        them, byte for byte the same."""
+        if self.parameter == "env":
+            study = env_size_study(exp, base, treatment, points)
+        else:
+            study = link_order_study(exp, base, treatment, orders=points)
+        return render_series(
+            study.points,
+            study.speedups,
+            title=(
+                f"speedup of O{self.treatment_opt} over O{self.base_opt} "
+                f"across {self.parameter} ({self.workload}, {self.machine})"
+            ),
+            reference=1.0,
+        ) + "\n\n" + study.speedup_bias().summary_line() + "\n"

@@ -77,12 +77,12 @@ from repro.core.supervisor import (
     DEFAULT_HANG_TIMEOUT,
     SUPERVISION_TICK,
     DispatchPool,
+    InlinePool,
     PoolEvent,
     SupervisedPool,
     Task,
 )
 from repro.obs import metrics as obs_metrics
-from repro.obs import trace as obs_trace
 
 #: Wire protocol version; the handshake rejects a mismatch loudly
 #: rather than let two releases talk past each other.  v2 added the
@@ -780,7 +780,6 @@ class AgentServer:
             child_setup=close_inherited_sockets,
             wake=wake,
         )
-        degraded = False
         next_beat = time.monotonic() + heartbeat_interval
         try:
             with faults.injected_faults(plan):
@@ -788,9 +787,7 @@ class AgentServer:
                     # Silence the ring before reading the inbox: a
                     # message queued after this point rings again.
                     _drain_socket(wake)
-                    reason = self._drain_inbox(
-                        conn, inbox, pool, plan, degraded
-                    )
+                    reason = self._drain_inbox(inbox, pool, plan)
                     if reason:
                         return reason
                     event = pool.poll(
@@ -810,18 +807,21 @@ class AgentServer:
                         ).inc()
                         self._log(f"worker {event.worker} {event.kind}")
                     elif event.kind == "degraded":
-                        # Local respawn budget spent: finish everything
-                        # the pool hands back in-process, and run any
-                        # later-arriving task the same way.  The
-                        # coordinator never sees the difference — the
-                        # agent's report obligations are per-result.
-                        degraded = True
+                        # Local respawn budget spent: the tasks the pool
+                        # hands back, and every later task frame, run on
+                        # this thread.  The coordinator never sees the
+                        # difference — the agent's report obligations
+                        # are per-result, spans included.
                         obs_metrics.counter("agent.degraded_sessions").inc()
                         self._log(
                             "worker pool degraded; running in-process"
                         )
+                        pool.close()
+                        pool = InlinePool(
+                            _runner._measure_task, tracing=session.tracing
+                        )
                         for task in event.tasks:
-                            self._run_inline(conn, task)
+                            pool.submit(task)
                     now = time.monotonic()
                     if now >= next_beat:
                         send_message(conn, "heartbeat", {})
@@ -831,7 +831,7 @@ class AgentServer:
             wake.close()
             ring.close()
 
-    def _drain_inbox(self, conn, inbox, pool, plan, degraded) -> str:
+    def _drain_inbox(self, inbox, pool, plan) -> str:
         """Apply queued coordinator messages; returns the session's end
         reason (``"shutdown"``/``"closed"``) or ``""`` while it lives."""
         while True:
@@ -855,10 +855,7 @@ class AgentServer:
                     payload=wire_to_payload(data["payload"]),
                     dispatch=dispatch,
                 )
-                if degraded:
-                    self._run_inline(conn, task)
-                else:
-                    pool.submit(task)
+                pool.submit(task)
             elif kind == "shutdown":
                 self._log("orderly shutdown")
                 return "shutdown"
@@ -866,18 +863,6 @@ class AgentServer:
                 self._log(f"coordinator gone: {data.get('reason')}")
                 return "closed"
             # Unknown kinds are ignored: forward-compatible by default.
-
-    def _run_inline(self, conn: socket.socket, task: "_FrameTask") -> None:
-        """Degraded mode: measure on the agent's own thread."""
-        if obs_trace.active().enabled:
-            tracer = obs_trace.Tracer(label="agent-inline")
-            with obs_trace.tracing(tracer):
-                result = _runner._measure_task(task.payload)
-            records: Optional[List[Dict[str, Any]]] = tracer.to_dicts()
-        else:
-            result = _runner._measure_task(task.payload)
-            records = None
-        self._send_result(conn, task, result, records)
 
     @staticmethod
     def _send_result(conn, task: "_FrameTask", result, records) -> None:

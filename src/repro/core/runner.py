@@ -41,7 +41,9 @@ the serial, in-process :meth:`Experiment.sweep` into a production run:
   coverage is never silent (van der Kouwe et al.'s "benchmarking
   crimes" include silently dropped results).  If the pool exhausts its
   respawn budget, the remaining setups are finished serially in-process
-  and the report is marked **degraded**, naming each of them.
+  — through the same loop, on the
+  :class:`~repro.core.supervisor.InlinePool` a ``jobs=1`` sweep runs on
+  — and the report is marked **degraded**, naming each of them.
 
 Fault injection (:mod:`repro.faults`) rides behind the substrate, so
 every recovery path here is itself testable and deterministic —
@@ -294,7 +296,7 @@ class SweepReport:
     #: pool exhausted its respawn budget (``degraded_setups`` names each
     #: setup finished serially in-process) and/or the storage layer
     #: failed underneath the sweep (``degraded_storage`` names each
-    #: durability loss: journal fallen back to memory, store writes
+    #: durability loss: journal writes stopped, store writes
     #: disabled).  Never silent: the measurements are still complete and
     #: correct, but their persistence guarantees are not.
     degraded: bool = False
@@ -361,7 +363,11 @@ class SweepReport:
 
 @dataclass
 class SweepResult:
-    """Measurements in request order (None where quarantined) + report."""
+    """Measurements in request order (None where quarantined) + report.
+
+    Every measurement is decoded from its record form (a pool's result,
+    a journal line or a store entry): equal to the experiment's cached
+    run, not the same object."""
 
     measurements: List[Optional[Measurement]]
     report: SweepReport
@@ -512,47 +518,16 @@ class Journal:
             self._fh = None
 
 
-class MemoryJournal:
-    """Typed in-memory stand-in after the on-disk journal failed.
-
-    Same append surface as :class:`Journal`, zero durability: records
-    accumulate in memory so in-process consumers (metrics aux, tests)
-    still see them, but a crash loses everything — which is why the
-    fallback is always accompanied by a loud degraded event and a
-    ``degraded_storage`` entry in the report.
-    """
-
-    def __init__(self, path: str, sweep: str) -> None:
-        self.path = path
-        self.sweep = sweep
-        self.records: Dict[int, Dict] = {}
-        self.aux: List[Dict] = []
-
-    def append(
-        self, index: int, data: Dict, fault_key: Optional[str] = None
-    ) -> None:
-        """Record a measurement in memory (latest write per index wins)."""
-        self.records[index] = data
-
-    def append_aux(self, kind: str, data: Dict) -> None:
-        """Record an auxiliary event in memory."""
-        self.aux.append({"kind": kind, "data": data})
-
-    def close(self) -> None:
-        """No-op: there is nothing durable to flush."""
-        pass
-
-
 class ResilientJournal:
     """Journal facade that degrades instead of crashing the sweep.
 
     Wraps a :class:`Journal`; the first
     :class:`~repro._errors.JournalWriteError` (ENOSPC, I/O error —
-    injected or real) swaps in a :class:`MemoryJournal` for the rest of
-    the sweep and reports the loss once via ``on_degrade``.  Measurements
-    keep landing; only their durability is gone.  :class:`TornWrite`
-    is *not* caught — an injected crash must unwind the sweep exactly
-    like a real one.
+    injected or real) stops journalling for the rest of the sweep and
+    reports the loss once via ``on_degrade`` — the same rule as the
+    service's queue WAL.  Measurements keep landing; only their
+    durability is gone.  :class:`TornWrite` is *not* caught — an
+    injected crash must unwind the sweep exactly like a real one.
     """
 
     def __init__(
@@ -561,15 +536,14 @@ class ResilientJournal:
         on_degrade: Optional[Callable[[JournalWriteError], None]] = None,
     ) -> None:
         self._disk = journal
-        self._memory: Optional[MemoryJournal] = None
         self._on_degrade = on_degrade
-        #: The write error that forced the fallback, or None.
+        #: The write error that stopped journalling, or None.
         self.failure: Optional[JournalWriteError] = None
 
     # Delegated identity: callers treat this exactly like a Journal.
     @property
     def path(self) -> str:
-        """The on-disk journal path (even after a memory fallback)."""
+        """The on-disk journal path (even after a write failure)."""
         return self._disk.path
 
     @property
@@ -589,45 +563,26 @@ class ResilientJournal:
 
     @property
     def degraded(self) -> bool:
-        """Has the journal fallen back to memory?"""
-        return self._memory is not None
+        """Has a write failure stopped journalling?"""
+        return self.failure is not None
 
     def load(self) -> Dict[int, Dict]:
         """Load prior records from disk (resume path; never degraded)."""
         return self._disk.load()
 
     def open_for_append(self, note: str = "") -> None:
-        """Open the disk journal; a write failure degrades to memory."""
-        try:
-            self._disk.open_for_append(note=note)
-        except JournalWriteError as exc:
-            self._degrade(exc)
+        """Open the disk journal; a write failure stops journalling."""
+        self._write(self._disk.open_for_append, note=note)
 
     def append(
         self, index: int, data: Dict, fault_key: Optional[str] = None
     ) -> None:
-        """Append a record, falling back to memory on the first failure."""
-        if self._memory is not None:
-            self._memory.append(index, data, fault_key=fault_key)
-            return
-        try:
-            self._disk.append(index, data, fault_key=fault_key)
-        except JournalWriteError as exc:
-            self._degrade(exc)
-            assert self._memory is not None
-            self._memory.append(index, data, fault_key=fault_key)
+        """Append a record unless a write failure stopped journalling."""
+        self._write(self._disk.append, index, data, fault_key=fault_key)
 
     def append_aux(self, kind: str, data: Dict) -> None:
-        """Append an aux record, falling back to memory on failure."""
-        if self._memory is not None:
-            self._memory.append_aux(kind, data)
-            return
-        try:
-            self._disk.append_aux(kind, data)
-        except JournalWriteError as exc:
-            self._degrade(exc)
-            assert self._memory is not None
-            self._memory.append_aux(kind, data)
+        """Append an aux record unless journalling stopped."""
+        self._write(self._disk.append_aux, kind, data)
 
     def close(self) -> None:
         """Close the disk journal, swallowing late I/O errors."""
@@ -636,13 +591,17 @@ class ResilientJournal:
         except OSError:
             pass
 
+    def _write(self, write: Callable[..., None], *args, **kwargs) -> None:
+        if self.failure is not None:
+            return
+        try:
+            write(*args, **kwargs)
+        except JournalWriteError as exc:
+            self._degrade(exc)
+
     def _degrade(self, exc: JournalWriteError) -> None:
         self.failure = exc
-        try:
-            self._disk.close()
-        except OSError:
-            pass
-        self._memory = MemoryJournal(self._disk.path, self._disk.sweep)
+        self.close()
         obs_metrics.counter("storage.journal_fallbacks").inc()
         obs_trace.instant(
             "journal_degraded",
@@ -807,8 +766,14 @@ def _error_info(exc: BaseException) -> Dict[str, Any]:
     }
 
 
-def _measure_task(payload: Tuple) -> Tuple:
-    """One measurement attempt in a worker process.
+def _measure_task(
+    payload: Tuple,
+    exp: Optional[Experiment] = None,
+    sleep: Callable[[float], None] = time.sleep,
+) -> Tuple:
+    """One measurement attempt, on ``exp`` (default: this process's
+    cached experiment for the payload's workload), after backing off
+    through ``sleep``.
 
     Returns ``("ok", index, attempt, measurement_dict)`` or
     ``("err", index, attempt, error_info)`` — exceptions never cross the
@@ -817,8 +782,9 @@ def _measure_task(payload: Tuple) -> Tuple:
     (index, workload, size, seed, setup, verify, attempt, timeout,
      max_cycles, delay) = payload
     if delay > 0:
-        time.sleep(delay)
-    exp = _worker_experiment(workload, size, seed, verify)
+        sleep(delay)
+    if exp is None:
+        exp = _worker_experiment(workload, size, seed, verify)
     key = faults.fault_key(workload, size, seed, setup)
     faults.begin_attempt(key, attempt)
     try:
@@ -867,7 +833,8 @@ class SweepRunner:
             Fresh measurements (and journal-resumed ones) are published
             back, and the experiment's build cache is backed by the
             store's artifact side.
-        sleep: serial-mode backoff sleeper (injectable for tests).
+        sleep: backoff sleeper for in-process measurement (injectable
+            for tests).
     """
 
     def __init__(
@@ -891,8 +858,8 @@ class SweepRunner:
         if store is not None:
             experiment.attach_store(store)
         self._sleep = sleep
-        #: The pool currently dispatching (parallel mode); read by the
-        #: timeline sampler for utilisation, never mutated through here.
+        #: The pool currently dispatching; read by the timeline sampler
+        #: for utilisation, never mutated through here.
         self._active_pool: Optional[supervisor.DispatchPool] = None
         #: Per-host provenance from the last distributed run (one dict
         #: per agent address: hostname, pid, agent version, jobs,
@@ -913,10 +880,10 @@ class SweepRunner:
         report = SweepReport(requested=len(setups))
         results: List[Optional[Measurement]] = [None] * len(setups)
         sid = sweep_id(exp.workload.name, exp.size, exp.seed, setups)
-        # Sweep-scoped metrics, accounted in the *parent* process at the
-        # same event points in both execution modes — so a serial and a
-        # parallel sweep of the same plan snapshot identically (the
-        # report-determinism tests compare to_json() bytes).
+        # Sweep-scoped metrics, accounted in the *parent* process by the
+        # one dispatch loop — so a serial and a parallel sweep of the
+        # same plan snapshot identically (the report-determinism tests
+        # compare to_json() bytes).
         mreg = obs_metrics.MetricsRegistry()
 
         with obs_trace.span(
@@ -943,8 +910,8 @@ class SweepRunner:
                     "degraded",
                     -1,
                     detail=(
-                        "journal write failed; continuing with an "
-                        f"in-memory journal: {exc}"
+                        "journal write failed; continuing without a "
+                        f"journal: {exc}"
                     ),
                 )
 
@@ -983,14 +950,8 @@ class SweepRunner:
                 self._probe_store(setups, results, report, journal, mreg)
             pending = [i for i in range(len(setups)) if results[i] is None]
             try:
-                if not pending:
-                    pass  # everything resumed; nothing to dispatch
-                elif self.config.jobs == 1 and not self.config.hosts:
-                    self._run_serial(
-                        setups, pending, results, report, journal, mreg
-                    )
-                else:
-                    self._run_parallel(
+                if pending:
+                    self._dispatch(
                         setups, pending, results, report, journal, mreg,
                         sweep_span,
                     )
@@ -1094,8 +1055,8 @@ class SweepRunner:
             if pool is not None:
                 record.update(pool.stats())
             else:
-                # Serial mode (or between pools): the coordinator is the
-                # only worker, busy exactly while setups remain.
+                # Before or after dispatch: the coordinator is the only
+                # worker, busy exactly while setups remain.
                 record["workers_alive"] = 1
                 record["workers_busy"] = 1 if record["pending"] else 0
                 record["queue_depth"] = 0
@@ -1161,105 +1122,9 @@ class SweepRunner:
         if hits:
             self.progress.store_hits(hits, len(setups))
 
-    # -- serial path ------------------------------------------------------
+    # -- dispatch ---------------------------------------------------------
 
-    def _run_serial(
-        self,
-        setups: Sequence[ExperimentalSetup],
-        pending: List[int],
-        results: List[Optional[Measurement]],
-        report: SweepReport,
-        journal: Optional[ResilientJournal],
-        mreg: obs_metrics.MetricsRegistry,
-        start_attempts: Optional[Dict[int, int]] = None,
-    ) -> None:
-        cfg = self.config
-        exp = self.experiment
-        for index in pending:
-            setup = setups[index]
-            key = faults.fault_key(
-                exp.workload.name, exp.size, exp.seed, setup
-            )
-            # A degraded sweep hands over each setup's in-flight attempt
-            # number, so its remaining retry budget carries across the
-            # failover instead of resetting (the double-count fix).
-            attempt = (start_attempts or {}).get(index, 1)
-            # Trace sampling: unsampled setups still measure and journal
-            # identically — they just open no span (deterministic by
-            # fault key, so serial and parallel keep the same span set).
-            span_cm = (
-                obs_trace.span(
-                    "setup",
-                    category="runner",
-                    index=index,
-                    setup=setup.describe(),
-                )
-                if obs_perf.trace_sampled(key, cfg.trace_sample)
-                else obs_trace.NULL_SPAN
-            )
-            with span_cm as setup_span:
-                while True:
-                    faults.begin_attempt(key, attempt)
-                    mreg.counter("sweep.attempts").inc()
-                    delay = cfg.backoff_delay(key, attempt)
-                    if delay > 0:
-                        self._sleep(delay)
-                    try:
-                        with _wall_clock_deadline(cfg.timeout):
-                            m = exp.run(setup, max_cycles=cfg.max_cycles)
-                    except Exception as exc:  # noqa: BLE001
-                        if is_retryable(exc) and attempt <= cfg.max_retries:
-                            report.retries += 1
-                            mreg.counter("sweep.retries").inc()
-                            self.progress.retry(
-                                index,
-                                setup.describe(),
-                                attempt,
-                                type(exc).__name__,
-                                str(exc),
-                            )
-                            attempt += 1
-                            continue
-                        entry = QuarantineEntry(
-                            index=index,
-                            setup=setup.describe(),
-                            error_type=type(exc).__name__,
-                            message=str(exc),
-                            fate=classify(exc),
-                            attempts=attempt,
-                        )
-                        report.quarantined.append(entry)
-                        mreg.counter("sweep.setups_quarantined").inc()
-                        setup_span.set(
-                            status="quarantined", attempts=attempt
-                        )
-                        self.progress.quarantined(
-                            index,
-                            entry.setup,
-                            entry.error_type,
-                            entry.fate,
-                            entry.attempts,
-                            entry.message,
-                        )
-                        break
-                    results[index] = m
-                    report.measured += 1
-                    mreg.counter("sweep.setups_measured").inc()
-                    if journal is not None:
-                        journal.append(
-                            index, measurement_to_dict(m), fault_key=key
-                        )
-                    if self.store is not None:
-                        self.store.put_measurement(exp, m)
-                    setup_span.set(status="measured", attempts=attempt)
-                    self.progress.setup_finished(
-                        index, setup.describe(), "measured", attempts=attempt
-                    )
-                    break
-
-    # -- parallel path ----------------------------------------------------
-
-    def _run_parallel(
+    def _dispatch(
         self,
         setups: Sequence[ExperimentalSetup],
         pending: List[int],
@@ -1269,6 +1134,9 @@ class SweepRunner:
         mreg: obs_metrics.MetricsRegistry,
         sweep_span: Optional[obs_trace.Span] = None,
     ) -> None:
+        """The one sweep loop: every pending setup goes through one
+        dispatch pool (in-process, worker processes or agents) and every
+        outcome is accounted here, whichever pool produced it."""
         cfg = self.config
         exp = self.experiment
         wl, size, seed, verify = (
@@ -1296,8 +1164,8 @@ class SweepRunner:
         pool = self._make_pool(len(pending), tracer.enabled)
         self._active_pool = pool
         outstanding = set(pending)
-        # In-flight attempt per still-outstanding setup; feeds the
-        # degraded serial fallback so failover never re-runs or
+        # In-flight attempt per still-outstanding setup: a degraded pool's
+        # setups resume at it in-process, so failover never re-runs or
         # double-counts a retry.
         attempts_now: Dict[int, int] = {i: 1 for i in pending}
         seen: set = set()  # (index, attempt) outcomes already handled
@@ -1307,7 +1175,34 @@ class SweepRunner:
             while outstanding:
                 event = pool.poll()
                 if event is None or event.kind == "degraded":
-                    break
+                    # Respawn (or reconnection) budget exhausted: degrade
+                    # honestly — name every setup the pool failed to
+                    # measure and finish them in-process, never publish
+                    # a silent partial table.
+                    self._release(pool)
+                    remaining = sorted(outstanding)
+                    report.degraded = True
+                    report.degraded_setups = [
+                        setups[i].describe() for i in remaining
+                    ]
+                    obs_metrics.counter("supervisor.degraded_sweeps").inc()
+                    obs_trace.instant(
+                        "degraded",
+                        category="supervisor",
+                        remaining=len(remaining),
+                    )
+                    self.progress.worker_event(
+                        "degraded",
+                        -1,
+                        detail=(
+                            f"finishing {len(remaining)} setup(s) serially "
+                            "in-process"
+                        ),
+                    )
+                    pool = self._active_pool = self._inline_pool()
+                    for index in remaining:
+                        pool.submit(make_task(index, attempts_now[index]))
+                    continue
                 if event.kind in ("crash", "hang"):
                     self._worker_failed(event)
                     continue
@@ -1338,8 +1233,8 @@ class SweepRunner:
                 seen.add((index, attempt))
                 # Attempts are counted as outcomes arrive: a crashed
                 # dispatch yields no outcome and is re-dispatched at the
-                # same attempt, so the counter matches the serial sweep
-                # (where every try produces exactly one outcome).
+                # same attempt, so the counter counts measurement
+                # attempts, never dispatches.
                 mreg.counter("sweep.attempts").inc()
                 if event.records and obs_perf.trace_sampled(
                     key_of(index), cfg.trace_sample
@@ -1347,8 +1242,9 @@ class SweepRunner:
                     # Remote spans are re-rooted under a host-qualified
                     # alias so one trace tells which machine measured
                     # which setup attempt.  An unsampled setup's records
-                    # are dropped here — same deterministic draw as the
-                    # serial path, so both modes keep identical span sets.
+                    # are dropped here — the same deterministic draw as
+                    # the in-process pool's setup spans, so every pool
+                    # keeps the same span set.
                     alias = f"setup@{index}.{attempt}"
                     if event.label:
                         alias = f"{event.label}/{alias}"
@@ -1415,46 +1311,23 @@ class SweepRunner:
                 attempts_now.pop(index, None)
         finally:
             self._active_pool = None
-            hosts_info = getattr(pool, "hosts_info", None)
-            if hosts_info is not None:
-                self.hosts_served = hosts_info()
-            pool.close()
-        if outstanding:
-            # Respawn (or reconnection) budget exhausted: degrade
-            # honestly — name every setup the pool failed to measure and
-            # finish them serially in-process, never publish a silent
-            # partial table.
-            remaining = sorted(outstanding)
-            report.degraded = True
-            report.degraded_setups = [setups[i].describe() for i in remaining]
-            obs_metrics.counter("supervisor.degraded_sweeps").inc()
-            obs_trace.instant(
-                "degraded", category="supervisor", remaining=len(remaining)
-            )
-            self.progress.worker_event(
-                "degraded",
-                -1,
-                detail=(
-                    f"finishing {len(remaining)} setup(s) serially "
-                    "in-process"
-                ),
-            )
-            self._run_serial(
-                setups,
-                remaining,
-                results,
-                report,
-                journal,
-                mreg,
-                start_attempts={i: attempts_now.get(i, 1) for i in remaining},
-            )
+            self._release(pool)
         report.quarantined.sort(key=lambda q: q.index)
+
+    def _release(self, pool: supervisor.DispatchPool) -> None:
+        """Close ``pool``, first keeping a remote pool's per-host
+        provenance for the manifest."""
+        hosts_info = getattr(pool, "hosts_info", None)
+        if hosts_info is not None:
+            self.hosts_served = hosts_info()
+        pool.close()
 
     def _make_pool(
         self, pending_count: int, tracing: bool
     ) -> supervisor.DispatchPool:
-        """Local worker pool, or a remote agent pool when ``hosts`` is
-        set — the event loop above drives either through the shared
+        """The in-process pool for ``jobs=1``, a local worker pool, or a
+        remote agent pool when ``hosts`` is set — the loop above drives
+        each through the shared
         :class:`~repro.core.supervisor.DispatchPool` interface."""
         cfg = self.config
         if cfg.hosts:
@@ -1478,6 +1351,8 @@ class SweepRunner:
                 secret=cfg.secret,
                 backoff_seed=cfg.backoff_seed,
             )
+        if cfg.jobs == 1:
+            return self._inline_pool()
         return supervisor.SupervisedPool(
             workers=min(cfg.jobs, max(1, pending_count)),
             task_fn=_measure_task,
@@ -1487,6 +1362,34 @@ class SweepRunner:
             max_respawns=cfg.max_respawns,
             tracing=tracing,
         )
+
+    def _inline_pool(self) -> supervisor.InlinePool:
+        """The calling thread as the one executor.  Each attempt measures
+        on the caller's experiment (its builds, run cache and store),
+        backs off through the injected sleeper, and opens its own
+        sampled ``setup`` span under the sweep span."""
+        cfg, exp = self.config, self.experiment
+
+        def measure(payload: Tuple) -> Tuple:
+            index, workload, size, seed, setup, _, attempt = payload[:7]
+            key = faults.fault_key(workload, size, seed, setup)
+            # Unsampled setups measure identically, they just open no
+            # span; the draw is by fault key, so every pool keeps the
+            # same span set.
+            span_cm = obs_trace.NULL_SPAN
+            if obs_perf.trace_sampled(key, cfg.trace_sample):
+                span_cm = obs_trace.span(
+                    "setup", category="runner", index=index,
+                    setup=setup.describe(), attempt=attempt,
+                )
+            with span_cm as setup_span:
+                outcome = _measure_task(payload, exp, self._sleep)
+                setup_span.set(
+                    status="measured" if outcome[0] == "ok" else "failed"
+                )
+            return outcome
+
+        return supervisor.InlinePool(measure)
 
     def _worker_failed(self, event: supervisor.PoolEvent) -> None:
         remote = bool(event.label)

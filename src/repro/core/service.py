@@ -63,13 +63,11 @@ import signal
 import sys
 import threading
 import time
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro import faults, workloads
-from repro.arch import available_machines
-from repro.core import Experiment, ExperimentalSetup
-from repro.core.bias import env_size_study, link_order_study, sample_link_orders
+from repro import faults
+from repro.core.bias import StudySpec
 from repro.core.distributed import (
     AgentLink,
     ProtocolError,
@@ -83,7 +81,6 @@ from repro.core.distributed import (
     refusal,
 )
 from repro.core.errors import ReproError
-from repro.core.report import render_series
 from repro.core.runner import RunnerConfig, SweepRunner
 from repro.core.servicewal import ServiceWAL
 from repro.core.session import record_checksum
@@ -111,125 +108,6 @@ _HTTP_REASONS = {
     429: "Too Many Requests", 500: "Internal Server Error",
     503: "Service Unavailable",
 }
-
-
-# -- study specifications ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StudySpec:
-    """One bias study, as a value — the unit clients submit.
-
-    Mirrors ``repro study``'s arguments field for field (same defaults),
-    so a spec and a CLI invocation describe the same sweep and must
-    produce byte-identical reports.  ``tag`` is part of the *study's*
-    identity but not of any measurement's: two submissions differing
-    only by tag are distinct queue entries whose setups content-address
-    to the same store keys, so the second runs entirely store-served.
-    """
-
-    workload: str
-    parameter: str = "env"
-    base_opt: int = 2
-    treatment_opt: int = 3
-    env_start: int = 100
-    env_stop: int = 356
-    env_step: int = 16
-    orders: int = 6
-    machine: str = "core2"
-    compiler: str = "gcc"
-    size: str = "test"
-    seed: int = 0
-    tag: str = ""
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict form (canonicalised by the checksum/WAL layers)."""
-        return {f.name: getattr(self, f.name) for f in dc_fields(self)}
-
-    def study_id(self) -> str:
-        """Content address of this spec — the service's study key.
-
-        A pure function of the spec, so identical submissions from any
-        number of clients dedup to one queue entry, one WAL lifecycle,
-        and one result document.
-        """
-        return record_checksum(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, data: Any) -> "StudySpec":
-        """Validated parse; raises ``ValueError`` on anything malformed
-        (the API layer turns that into a 400, never a crashed study)."""
-        if not isinstance(data, dict):
-            raise ValueError("study spec must be a JSON object")
-        known = {f.name for f in dc_fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValueError(f"unknown spec field(s): {', '.join(unknown)}")
-        if "workload" not in data:
-            raise ValueError("spec is missing required field 'workload'")
-        merged = {f.name: getattr(cls, f.name, None) for f in dc_fields(cls)
-                  if f.name != "workload"}
-        merged.update(data)
-        spec = cls(**merged)
-        if spec.workload not in workloads.all_names():
-            raise ValueError(f"unknown workload {spec.workload!r}")
-        if spec.parameter not in ("env", "link"):
-            raise ValueError("parameter must be 'env' or 'link'")
-        for name in ("base_opt", "treatment_opt"):
-            if getattr(spec, name) not in (0, 1, 2, 3):
-                raise ValueError(f"{name} must be an opt level 0-3")
-        if spec.machine not in available_machines():
-            raise ValueError(f"unknown machine {spec.machine!r}")
-        if spec.compiler not in ("gcc", "icc"):
-            raise ValueError("compiler must be 'gcc' or 'icc'")
-        if spec.size not in ("test", "train", "ref"):
-            raise ValueError("size must be test, train, or ref")
-        for name in ("env_start", "env_stop", "env_step", "orders", "seed"):
-            if not isinstance(getattr(spec, name), int):
-                raise ValueError(f"{name} must be an integer")
-        if spec.env_step < 1:
-            raise ValueError("env_step must be >= 1")
-        if spec.parameter == "env" and spec.env_stop <= spec.env_start:
-            raise ValueError("env sweep is empty (env_stop <= env_start)")
-        if spec.orders < 1:
-            raise ValueError("orders must be >= 1")
-        if not isinstance(spec.tag, str):
-            raise ValueError("tag must be a string")
-        return spec
-
-    def build(self) -> Tuple[Experiment, List[ExperimentalSetup],
-                             ExperimentalSetup, ExperimentalSetup, list]:
-        """Materialise the experiment and setup list, exactly as
-        ``repro study`` does (same construction order, same setups —
-        this equivalence is what the byte-identity tests pin)."""
-        exp = Experiment(
-            workloads.get(self.workload), size=self.size, seed=self.seed
-        )
-        base = ExperimentalSetup(
-            machine=self.machine, compiler=self.compiler,
-            opt_level=self.base_opt,
-        )
-        treatment = ExperimentalSetup(
-            machine=self.machine, compiler=self.compiler,
-            opt_level=self.treatment_opt,
-        )
-        if self.parameter == "env":
-            points = list(range(self.env_start, self.env_stop, self.env_step))
-            setups = [
-                s.with_changes(env_bytes=env)
-                for env in points
-                for s in (base, treatment)
-            ]
-        else:
-            points = sample_link_orders(
-                exp.workload.module_names(), self.orders, seed=0
-            )
-            setups = [
-                s.with_changes(link_order=tuple(order))
-                for order in points
-                for s in (base, treatment)
-            ]
-        return exp, setups, base, treatment, points
 
 
 # -- agent registry (asyncio side) -------------------------------------------
@@ -933,7 +811,6 @@ class ServiceCoordinator:
         with self._lock:
             st.requested = len(setups)
         config = RunnerConfig(
-            jobs=2,  # forces the parallel path; the pool is the fleet
             max_retries=self.max_retries,
             timeout=self.timeout,
             heartbeat_interval=self.heartbeat_interval,
@@ -971,20 +848,7 @@ class ServiceCoordinator:
                 f"{len(report.quarantined)} setup(s) quarantined — the "
                 "study needs every point"
             )
-        if spec.parameter == "env":
-            study = env_size_study(exp, base, treatment, points)
-        else:
-            study = link_order_study(exp, base, treatment, orders=points)
-        tables = render_series(
-            study.points,
-            study.speedups,
-            title=(
-                f"speedup of O{spec.treatment_opt} over O{spec.base_opt} "
-                f"across {spec.parameter} ({spec.workload}, {spec.machine})"
-            ),
-            reference=1.0,
-        ) + "\n\n" + study.speedup_bias().summary_line() + "\n"
-        return tables, report.to_json()
+        return spec.tables(exp, base, treatment, points), report.to_json()
 
     def _finish(self, st: _StudyState, tables: str = "",
                 report_json: str = "", error: str = "") -> None:

@@ -29,7 +29,8 @@ parent actively supervises:
 
 The pool is deliberately generic: it moves opaque ``Task.payload``
 values through ``task_fn`` and never imports the runner, so the
-runner → supervisor dependency stays one-way.
+runner → supervisor dependency stays one-way.  :class:`InlinePool` is
+the same dispatch core with the calling thread as its one executor.
 
 Chaos testing: when a :class:`~repro.faults.FaultPlan` with
 ``worker_crash_rate`` / ``worker_hang_rate`` is installed, workers draw
@@ -50,7 +51,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro import faults
 from repro.obs import metrics as obs_metrics
@@ -338,6 +339,75 @@ class DispatchPool:
         raise NotImplementedError
 
 
+def run_task(
+    task_fn: Callable[[Any], Any], payload: Any, tracing: bool
+) -> Tuple[Any, Optional[List[Dict[str, Any]]]]:
+    """Run one task; returns ``(result, records)``.  With ``tracing`` the
+    task runs in a fresh tracer and ``records`` holds its span dicts, for
+    the caller to graft; otherwise ``records`` is None."""
+    if not tracing:
+        return task_fn(payload), None
+    tracer = obs_trace.Tracer(label="task")
+    with obs_trace.tracing(tracer):
+        result = task_fn(payload)
+    return result, tracer.to_dicts()
+
+
+class InlinePool(DispatchPool):
+    """The dispatch core with one executor: the calling thread.
+
+    :meth:`poll` runs the next queued task to completion on the thread
+    that calls it: no worker process, no pickling, no chaos draw, and so
+    no failover and no ``degraded`` event.  A dispatched task stays held
+    until it has run, so :meth:`stats`, read from a sampler thread,
+    counts the executor busy for as long as a task runs.
+
+    Args:
+        task_fn: callable run on each task's payload, in the caller.
+        tracing: as for :class:`SupervisedPool`: each task runs in a
+            fresh tracer and its span records come back with the result.
+    """
+
+    #: The calling thread runs one task at a time.
+    capacity = 1
+
+    def __init__(
+        self, task_fn: Callable[[Any], Any], tracing: bool = False
+    ) -> None:
+        super().__init__(heartbeat_interval=SUPERVISION_TICK)
+        self.task_fn = task_fn
+        self.tracing = tracing
+        self._task: Optional[Task] = None
+
+    def close(self) -> None:
+        """Drop every task not yet run (idempotent)."""
+        self._closed = True
+        self._task = None
+        self._queue.clear()
+
+    def _executors(self) -> List["InlinePool"]:
+        return [] if self._closed else [self]
+
+    def _load(self, executor: "InlinePool") -> int:
+        return 0 if self._task is None else 1
+
+    def _send(self, executor: "InlinePool", task: Task, count: int) -> bool:
+        self._task = task
+        return True
+
+    def _scan_liveness(self) -> None:
+        pass  # the executor is the caller: it cannot die or hang alone
+
+    def _collect(self, deadline: Optional[float]) -> bool:
+        task = self._task
+        result, records = run_task(self.task_fn, task.payload, self.tracing)
+        self._task = None
+        self._events.append(
+            PoolEvent("result", task=task, result=result, records=records)
+        )
+        return False
+
+
 def _worker_main(
     slot: int,
     conn,
@@ -385,14 +455,7 @@ def _worker_main(
             # deadline can recover the sweep from this.
             wedged.set()
             time.sleep(_HANG_SLEEP)
-        if tracing:
-            tracer = obs_trace.Tracer(label=f"worker-{slot}")
-            with obs_trace.tracing(tracer):
-                result = task_fn(payload)
-            records: Optional[List[Dict[str, Any]]] = tracer.to_dicts()
-        else:
-            result = task_fn(payload)
-            records = None
+        result, records = run_task(task_fn, payload, tracing)
         try:
             conn.send((result, records))
         except (BrokenPipeError, OSError):

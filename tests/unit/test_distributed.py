@@ -8,8 +8,10 @@ honestly to local execution; a bad roster fails loudly before any
 measurement; remote spans are grafted under host-qualified aliases;
 the manifest names every host that served results; dispatch is
 event-driven: an agent starts a task frame without waiting on a timer,
-and the coordinator refills a freed agent before it reports; and the
-agent pool reports the worker gauges a metrics timeline samples.
+and the coordinator refills a freed agent before it reports; the agent
+pool reports the worker gauges a metrics timeline samples; and an agent
+whose worker pool degrades keeps serving in-process, sending spans
+exactly when its session asks for them.
 """
 
 import contextlib
@@ -22,6 +24,7 @@ import pytest
 from repro import faults, workloads
 from repro.core import Experiment, ExperimentalSetup
 from repro.core import distributed as dist
+from repro.core import runner as runner_mod
 from repro.core.runner import RunnerConfig, SweepRunner
 from repro.core.supervisor import Task
 from repro.obs import manifest as obs_manifest
@@ -455,6 +458,66 @@ class TestEventDrivenDispatch:
                 assert event.kind == "result" and event.task is second
             finally:
                 pool.close()
+
+
+class TestDegradedAgent:
+    """An agent whose own worker pool degrades keeps serving in-process,
+    and still sends the spans its session asked for — whether or not
+    the agent's own process traces."""
+
+    #: Every worker dies on its first task and none is respawned, so the
+    #: agent's pool degrades at once.
+    DOOMED = faults.FaultPlan(seed=1, worker_crash_rate=1.0)
+
+    @pytest.fixture(autouse=True)
+    def _own_experiment_cache(self, monkeypatch):
+        # The degraded agent measures in this process, through the
+        # experiment cache every worker forked later inherits; a run
+        # cached there would skip its fault draws in other tests' pools.
+        monkeypatch.setattr(runner_mod, "_WORKER_EXPERIMENTS", {})
+
+    def degraded_result(self, task, tracing):
+        """The result frame a degraded ``jobs=1`` agent sends for
+        ``task`` in a session whose hello asks for ``tracing``."""
+        with lone_agent(jobs=1) as server:
+            sock = socket.create_connection(server.address, timeout=30.0)
+            try:
+                kind, _ = dist.recv_message(sock)
+                assert kind == "challenge"
+                dist.send_message(sock, "hello", dist.build_hello(
+                    self.DOOMED, 0.05, None, 0, tracing
+                ))
+                kind, _ = dist.recv_message(sock)
+                assert kind == "hello_ack"
+                send_task(sock, task)
+                result = recv_result(sock)
+                dist.send_message(sock, "shutdown", {})
+            finally:
+                sock.close()
+        assert result["outcome"][:3] == ["ok", task.index, 1]
+        return result
+
+    def test_traced_session_gets_the_setups_spans(self):
+        # An env size no other test here measures, so the run is never
+        # a cache hit, which would record no span.
+        exp = fresh_experiment()
+        setup = ExperimentalSetup(env_bytes=1001)
+        task = Task(
+            index=0,
+            key=faults.fault_key(exp.workload.name, exp.size, exp.seed, setup),
+            attempt=1,
+            payload=(0, WORKLOAD, exp.size, exp.seed, setup, True, 1, None,
+                     None, 0.0),
+        )
+        assert obs_trace.active().enabled is False
+        result = self.degraded_result(task, tracing=True)
+        assert isinstance(result["records"], list)
+        assert "run" in {r["name"] for r in result["records"]}
+
+    def test_untraced_session_gets_no_spans_from_a_traced_agent(self):
+        with obs_trace.tracing(obs_trace.Tracer(label="agent process")):
+            result = self.degraded_result(make_task(0), tracing=False)
+        assert result["records"] is None
 
 
 class TestTimelineGauges:

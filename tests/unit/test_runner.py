@@ -13,7 +13,10 @@ import pytest
 
 from repro import faults, workloads
 from repro.core import Experiment, ExperimentalSetup
+from repro.core import runner as runner_mod
 from repro.core.errors import ArchiveCorruption
+from repro.obs import metrics as obs_metrics
+from repro.obs import progress as obs_progress
 from repro.core.runner import (
     Journal,
     RunnerConfig,
@@ -103,6 +106,46 @@ class TestHappyPath:
         # Serial re-runs must be cache hits returning identical objects.
         for setup, measured in zip(SETUPS, result.measurements):
             assert exp.run(setup) is measured
+
+
+class TestInProcessSweep:
+    """What makes a ``jobs=1`` sweep the reference every other topology
+    is compared against: it measures on the caller's experiment and
+    sleeps only through the injected sleeper."""
+
+    def test_measures_on_the_callers_experiment(self):
+        exp = fresh_experiment()
+        before = set(runner_mod._WORKER_EXPERIMENTS)
+        run_sweep(jobs=1, exp=exp)
+        assert set(runner_mod._WORKER_EXPERIMENTS) == before
+        hits = obs_metrics.counter("experiment.run_cache_hits")
+        start = hits.value
+        for setup in SETUPS:
+            exp.run(setup)
+        assert hits.value == start + len(SETUPS)
+
+    def test_backoff_sleeps_go_through_the_injected_sleeper(self):
+        retries = []
+
+        class Retries(obs_progress.ProgressReporter):
+            def retry(self, index, setup, attempt, error_type, message):
+                retries.append((index, attempt))
+
+        slept = []
+        exp = fresh_experiment()
+        cfg = RunnerConfig(jobs=1, max_retries=2, backoff_base=0.001)
+        SweepRunner(
+            exp, cfg, fault_plan=NOISY_PLAN, progress=Retries(),
+            sleep=slept.append,
+        ).run(SETUPS)
+        keys = [
+            faults.fault_key(exp.workload.name, exp.size, exp.seed, s)
+            for s in SETUPS
+        ]
+        assert retries, "noisy plan should trigger retries"
+        assert sorted(slept) == sorted(
+            cfg.backoff_delay(keys[i], a + 1) for i, a in retries
+        )
 
 
 class TestFaultRecovery:

@@ -22,7 +22,6 @@ from repro.core.errors import (
 )
 from repro.core.runner import (
     Journal,
-    MemoryJournal,
     ResilientJournal,
     RunnerConfig,
     SweepRunner,
@@ -108,8 +107,9 @@ class TestJournalDiskFull:
         assert len(lines) == 1  # header only
         assert json.loads(lines[0])["format"].endswith("journal")
 
-    def test_memory_fallback_keeps_every_record(self, tmp_path):
-        inner = Journal(str(tmp_path / "j.jsonl"), "s")
+    def test_first_write_failure_stops_journalling(self, tmp_path):
+        path = str(tmp_path / "j.jsonl")
+        inner = Journal(path, "s")
         inner.open_for_append()
         events = []
         rj = ResilientJournal(inner, on_degrade=events.append)
@@ -122,8 +122,15 @@ class TestJournalDiskFull:
         assert rj.degraded
         assert len(events) == 1 and events[0].record == 0
         assert rj.failure is events[0]
-        assert isinstance(rj._memory, MemoryJournal)
-        assert rj._memory.records == {0: {"a": 1}, 1: {"b": 2}}
+        # Later appends, faulted or not, neither raise nor touch the file.
+        with open(path, "rb") as fh:
+            before = fh.read()
+        with faults.injected_faults(plan):
+            rj.append(2, {"c": 3}, fault_key="k2")
+        rj.append(3, {"d": 4}, fault_key="k3")
+        rj.append_aux("metrics", {"e": 5})
+        with open(path, "rb") as fh:
+            assert fh.read() == before
         rj.close()
 
     def test_degraded_journal_skips_compaction(self, tmp_path):

@@ -10,6 +10,7 @@ spans are grafted into the parent trace.
 
 import io
 import socket
+import threading
 import time
 
 import pytest
@@ -17,7 +18,7 @@ import pytest
 from repro import faults, workloads
 from repro.core import Experiment, ExperimentalSetup
 from repro.core.runner import RunnerConfig, SweepRunner, compact_journal
-from repro.core.supervisor import SupervisedPool, Task
+from repro.core.supervisor import InlinePool, SupervisedPool, Task
 from repro.obs import progress as obs_progress
 from repro.obs import trace as obs_trace
 
@@ -136,6 +137,79 @@ class TestSupervisedPool:
         finally:
             wake.close()
             ring.close()
+
+
+def _drain(pool):
+    """Every event ``pool`` reports until it is drained."""
+    events = []
+    while True:
+        event = pool.poll()
+        if event is None:
+            return events
+        events.append(event)
+
+
+def _tasks(count):
+    return [
+        Task(index=i, key=f"k{i}", attempt=1, payload=i) for i in range(count)
+    ]
+
+
+class TestInlinePool:
+    """The in-process pool: the dispatch core with the calling thread as
+    its one executor."""
+
+    def test_tasks_run_in_submission_order_on_the_calling_thread(self):
+        ran = []
+
+        def task_fn(payload):
+            ran.append((payload, threading.current_thread()))
+            return payload * 2
+
+        pool = InlinePool(task_fn)
+        for task in _tasks(3):
+            pool.submit(task)
+        events = _drain(pool)
+        assert [e.kind for e in events] == ["result"] * 3
+        assert [e.task.index for e in events] == [0, 1, 2]
+        assert [e.result for e in events] == [0, 2, 4]
+        assert [payload for payload, _ in ran] == [0, 1, 2]
+        assert all(t is threading.current_thread() for _, t in ran)
+
+    def test_stats_count_the_running_task_busy(self):
+        seen = []
+        pool = InlinePool(lambda payload: seen.append(pool.stats()))
+        for task in _tasks(3):
+            pool.submit(task)
+        _drain(pool)
+        assert seen == [
+            {"workers_alive": 1, "workers_busy": 1, "queue_depth": queued}
+            for queued in (2, 1, 0)
+        ]
+
+    def test_tracing_attaches_the_tasks_span_records(self):
+        def task_fn(payload):
+            with obs_trace.span("run", category="test"):
+                return payload
+
+        traced = InlinePool(task_fn, tracing=True)
+        traced.submit(_tasks(1)[0])
+        (event,) = _drain(traced)
+        assert [r["name"] for r in event.records] == ["run"]
+        plain = InlinePool(task_fn, tracing=False)
+        plain.submit(_tasks(1)[0])
+        (event,) = _drain(plain)
+        assert event.records is None
+
+    def test_close_drops_queued_tasks(self):
+        ran = []
+        pool = InlinePool(ran.append)
+        for task in _tasks(3):
+            pool.submit(task)
+        assert pool.poll().task.index == 0
+        pool.close()
+        assert pool.poll() is None
+        assert ran == [0]
 
 
 class TestChaosFailover:
