@@ -13,9 +13,12 @@ Two halves:
   it accepts one coordinator session at a time, receives setups, runs
   them across its worker processes, and streams results (and heartbeats)
   back;
-- the **coordinator** (:class:`AgentPool`, reached via
-  ``repro run ... --hosts host1:port,host2:port``) treats each agent as
-  a super-worker with ``jobs`` capacity behind the same
+- the **coordinator** side (``repro run ... --hosts
+  host1:port,host2:port``) dials each agent with :func:`open_session`
+  into a :class:`repro.core.service.HostRoster` and leases it work
+  through :class:`repro.core.service.LeasePool`, the one remote pool
+  (``repro serve``'s dialed-in agents use it too).  Each agent is a
+  super-worker with ``jobs`` capacity behind the same
   :class:`~repro.core.supervisor.DispatchPool` interface the local pool
   implements, so the sweep runner cannot tell local workers from remote
   hosts.
@@ -27,13 +30,13 @@ Failure philosophy (mirroring the supervised pool, one layer up):
   applied to the wire): a torn or corrupted frame is *detected*, never
   silently half-applied;
 - **liveness** — agents heartbeat over the socket; an agent silent past
-  ``hang_timeout`` is declared partitioned, whatever TCP thinks;
+  the lease deadline is declared partitioned, whatever TCP thinks;
 - **failover** — a lost agent's in-flight setups are requeued **at the
   same attempt number**; network loss never consumes a measurement's
   retry budget;
-- **recovery** — the coordinator reconnects to lost agents within a
-  bounded budget (a partition heals; a dead agent's refused connections
-  spend the budget and drop it from the roster);
+- **recovery** — the coordinator redials lost agents within a bounded
+  budget (a partition heals; a dead agent's refused connections spend
+  the budget and drop it from the roster);
 - **honest degradation** — when no agent remains the pool emits a
   ``degraded`` event and the runner finishes the sweep locally,
   naming every setup in the report; never a silent partial table.
@@ -62,7 +65,7 @@ import threading
 import time
 import weakref
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro import __version__, faults
 from repro._errors import ReproError
@@ -75,10 +78,7 @@ from repro.core.session import (
 )
 from repro.core.supervisor import (
     DEFAULT_HANG_TIMEOUT,
-    SUPERVISION_TICK,
-    DispatchPool,
     InlinePool,
-    PoolEvent,
     SupervisedPool,
     Task,
 )
@@ -878,12 +878,12 @@ class AgentServer:
 
 
 class AgentLink:
-    """A remote pool's handle for one agent session.
+    """The lease pool's handle for one agent session.
 
-    One type for both remote pools: ``conn`` is the transport — a
-    blocking socket for :class:`AgentPool`, an asyncio stream writer for
-    the service's agent registry (which owns that socket on its event
-    loop).
+    ``conn`` is the link's asyncio stream writer, owned by the agent
+    registry's event loop (:class:`repro.core.service.AgentRegistry`),
+    whichever side dialed: an agent that dialed in to ``repro serve`` or
+    a ``--hosts`` agent the coordinator dialed.
     """
 
     __slots__ = (
@@ -899,395 +899,19 @@ class AgentLink:
         self.conn = conn
         #: Tasks dispatched to this agent and not yet settled
         #: (index -> Task); owned by the pool that dispatches to the link
-        #: (for the service: its executor thread, never the event loop).
+        #: (the thread polling it, never the event loop).
         self.in_flight: Dict[int, Task] = {}
         self.last_recv = time.monotonic()
-        #: Set once the transport is known gone; a lost link takes no
-        #: further task.
+        #: Set once the link is known gone (transport closed, or failed
+        #: over by the lease pool); a lost link takes no further task.
         self.lost = False
-        #: Well-formed results this link delivered.
+        #: Results accepted from this link (dropped duplicates aside).
         self.results = 0
 
     @property
     def capacity(self) -> int:
         """Concurrent tasks this agent advertises (its ``--jobs``)."""
         return max(1, int(self.info.get("jobs", 1)))
-
-
-class RemotePool(DispatchPool):
-    """What the two agent pools share on top of the dispatch core.
-
-    Executors are :class:`AgentLink` agents with ``jobs`` capacity.
-    This class holds the remote dispatch step (the task frame and the
-    coordinator-side ``net_partition`` / ``message_corrupt`` draws), the
-    link-silence scan and the result-shape check.  A subclass supplies
-    its transport (:meth:`_write`), its live links, its failover of a
-    lost link (:meth:`_lose`) and its result policy (:meth:`_settle`).
-    """
-
-    def __init__(
-        self,
-        fault_plan: Optional[faults.FaultPlan],
-        heartbeat_interval: float,
-    ) -> None:
-        super().__init__(heartbeat_interval)
-        self.fault_plan = fault_plan
-
-    def _load(self, link: AgentLink) -> int:
-        return len(link.in_flight)
-
-    def _send(self, link: AgentLink, task: Task, count: int) -> bool:
-        plan = self.fault_plan
-        if plan is not None and plan.fires("net_partition", task.key, count):
-            # The network dies as we dispatch: nothing is sent, the
-            # dispatch is spent (so a transient partition clears on the
-            # re-dispatch), and the link fails over like any other loss.
-            self._dispatched[task.index] = count
-            self._lose(link, "crash")
-            return False
-        corrupt = plan is not None and plan.fires(
-            "message_corrupt", task.key, count
-        )
-        if not self._send_task(link, task, count, corrupt):
-            self._lose(link, "crash")
-            return False
-        self._grant(link, task, count)
-        return True
-
-    def _send_task(self, link: AgentLink, task: Task, count: int,
-                   corrupt: bool = False) -> bool:
-        """Write one task frame; False when the transport refused it."""
-        return self._write(link, "task", {
-            "key": task.key,
-            "dispatch": count,
-            "payload": payload_to_wire(task.payload),
-        }, corrupt)
-
-    def _grant(self, link: AgentLink, task: Task, count: int) -> None:
-        """Record ``task`` as running on ``link`` after its frame went out."""
-        link.in_flight[task.index] = task
-
-    def _scan_silence(self, timeout: float) -> None:
-        """An agent silent past ``timeout`` is partitioned, whatever TCP
-        thinks: fail its link over."""
-        now = time.monotonic()
-        for link in self._executors():
-            if now - link.last_recv > timeout:
-                self._lose(link, "hang")
-
-    def _accept_result(self, link: AgentLink, data: Dict[str, Any]) -> None:
-        """Take one result frame.  A frame can pass its checksum and
-        still carry an outcome that is not ``[kind, int index, int
-        attempt, data]`` (a version-skewed agent, say): that fails the
-        link over at the same attempt, exactly like a corrupt frame.  A
-        well-formed outcome goes to the pool's own policy."""
-        outcome = data.get("outcome")
-        if not (
-            isinstance(outcome, list)
-            and len(outcome) == 4
-            and isinstance(outcome[0], str)
-            # Index and attempt are exact ints: JSON ``true`` is no index.
-            and all(type(n) is int for n in outcome[1:3])
-            and isinstance(outcome[3], dict)
-        ):
-            self._lose(link, "crash")
-            return
-        link.results += 1
-        self._settle(link, tuple(outcome), data)
-
-    def _result_event(self, link: AgentLink, task: Optional[Task],
-                      outcome: Tuple, data: Dict[str, Any]) -> None:
-        self._events.append(PoolEvent(
-            "result",
-            worker=link.slot,
-            task=task,
-            result=outcome,
-            records=data.get("records"),
-            label=link.label,
-        ))
-
-    # -- transport and policy hooks ---------------------------------------
-
-    def _write(self, link: AgentLink, kind: str, data: Dict[str, Any],
-               corrupt: bool = False) -> bool:
-        """Send one frame to ``link``; False when it is known lost."""
-        raise NotImplementedError
-
-    def _lose(self, link: AgentLink, reason: str) -> None:
-        """Fail a lost link over: requeue what it held, report ``reason``."""
-        raise NotImplementedError
-
-    def _settle(self, link: AgentLink, outcome: Tuple,
-                data: Dict[str, Any]) -> None:
-        """Apply one well-formed result from ``link``."""
-        raise NotImplementedError
-
-
-class AgentPool(RemotePool):
-    """Remote agents behind the local pool's dispatch interface.
-
-    Every agent is a super-worker with ``jobs`` capacity; dispatching,
-    result collection, heartbeat-staleness partition detection, failover
-    requeueing, and bounded reconnection all happen inside
-    :meth:`poll`, mirroring :class:`SupervisedPool`'s contract exactly —
-    the sweep runner drives both through
-    :class:`~repro.core.supervisor.DispatchPool` and cannot tell them
-    apart.
-
-    Args:
-        hosts: ``(host, port)`` pairs; every one must accept the initial
-            connection (a bad roster is operator error and fails loudly
-            as :class:`AgentUnavailable`).
-        hello: session parameters sent to every agent (fault plan,
-            runner knobs, tracing flag); see :func:`build_hello`.
-        fault_plan: coordinator-side draws for the ``net_partition`` and
-            ``message_corrupt`` chaos kinds (``agent_crash`` is drawn
-            agent-side, where the dying happens).
-        heartbeat_interval: how often agents beat (sent in the hello).
-        hang_timeout: an agent silent past this is declared partitioned.
-            None falls back to
-            :data:`~repro.core.supervisor.DEFAULT_HANG_TIMEOUT` — link
-            liveness is paced by heartbeats, not task durations, so the
-            coordinator has nothing to adapt to (each agent's *local*
-            pool still adapts; the hello forwards None).
-        max_reconnects: reconnection attempts **per lost agent** before
-            that agent is dropped for good.  Per-link (unlike the local
-            pool's global respawn budget) because agent failures are
-            independent: one dead host refusing connections must not
-            spend the budget a merely-partitioned host needs to heal.
-        connect_timeout: TCP connect + handshake deadline per attempt.
-        secret: optional shared secret used to answer each agent's
-            per-session ``challenge`` nonce (see :func:`auth_proof`).
-            Held here rather than baked into the hello because the
-            proof depends on the nonce — every connect (and reconnect)
-            computes a fresh one.
-        backoff_seed: seed for the deterministic reconnect jitter
-            (:func:`repro.core.runner.seeded_backoff`); the runner
-            forwards its ``backoff_seed`` so retries and reconnects
-            share one reproducible schedule.
-    """
-
-    def __init__(
-        self,
-        hosts: Sequence[Tuple[str, int]],
-        hello: Dict[str, Any],
-        fault_plan: Optional[faults.FaultPlan] = None,
-        heartbeat_interval: float = 0.2,
-        hang_timeout: Optional[float] = None,
-        max_reconnects: int = 8,
-        connect_timeout: float = 10.0,
-        secret: Optional[str] = None,
-        backoff_seed: int = 0,
-    ) -> None:
-        if not hosts:
-            raise ValueError("AgentPool needs at least one host")
-        super().__init__(fault_plan, heartbeat_interval)
-        self.hello = dict(hello)
-        self.secret = secret
-        self.hang_timeout = (
-            DEFAULT_HANG_TIMEOUT if hang_timeout is None else hang_timeout
-        )
-        self.max_reconnects = max_reconnects
-        self.connect_timeout = connect_timeout
-        self.backoff_seed = backoff_seed
-        #: The roster, indexed by worker slot.
-        self._hosts = list(hosts)
-        self._links: List[AgentLink] = []
-        self._down: List[Dict[str, Any]] = []  # reconnect work items
-        #: Provenance: per-address agent identity + results served,
-        #: aggregated across reconnects (feeds the manifest's ``hosts``).
-        self._host_info: Dict[str, Dict[str, Any]] = {}
-        for slot, (host, port) in enumerate(self._hosts):
-            try:
-                self._links.append(self._connect(slot))
-            except (OSError, ProtocolError, EOFError) as exc:
-                self.close()
-                raise AgentUnavailable(
-                    f"agent {host}:{port} is unreachable: {exc}"
-                ) from exc
-
-    def hosts_info(self) -> List[Dict[str, Any]]:
-        """Per-host provenance for the manifest: every agent this pool
-        ever spoke to, its identity, and the results it served."""
-        return [dict(self._host_info[k]) for k in sorted(self._host_info)]
-
-    def close(self) -> None:
-        """Hang up on every agent (they return to their accept loop)."""
-        if self._closed:
-            return
-        self._closed = True
-        for link in self._links:
-            try:
-                send_message(link.conn, "shutdown", {})
-            except OSError:
-                pass
-            try:
-                link.conn.close()
-            except OSError:
-                pass
-        self._links.clear()
-        self._queue.clear()
-        self._down.clear()
-
-    # -- connection management --------------------------------------------
-
-    def _connect(self, slot: int) -> AgentLink:
-        host, port = self._hosts[slot]
-        label = f"{host}:{port}"
-        sock = _track(socket.create_connection(
-            (host, port), timeout=self.connect_timeout
-        ))
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        try:
-            kind, info = open_session(
-                sock, "hello", self.hello, self.secret, f"agent {label}",
-                "hello_ack",
-            )
-            if kind == "error":
-                if info.get("code") == "auth":
-                    # Counted apart from transport losses: a wrong
-                    # secret is an operator/configuration problem, and
-                    # it spends the same per-link budget a dead host
-                    # would (initial connects still fail fast as
-                    # AgentUnavailable).
-                    obs_metrics.counter("distributed.auth_failures").inc()
-                raise ProtocolError(
-                    f"agent {label} rejected the session: "
-                    f"{info.get('message')}"
-                )
-        except Exception:
-            sock.close()
-            raise
-        sock.settimeout(max(self.connect_timeout, self.hang_timeout))
-        link = AgentLink(slot, label, info, sock)
-        entry = self._host_info.setdefault(label, {
-            "host": host,
-            "port": port,
-            "results": 0,
-            "sessions": 0,
-        })
-        entry.update(
-            hostname=info.get("hostname"),
-            pid=info.get("pid"),
-            agent_version=info.get("agent_version"),
-            jobs=info.get("jobs"),
-        )
-        entry["sessions"] += 1
-        return link
-
-    def _try_reconnects(self) -> None:
-        now = time.monotonic()
-        still_down: List[Dict[str, Any]] = []
-        for item in self._down:
-            if item["next_try"] > now:
-                still_down.append(item)
-                continue
-            if item["failures"] >= self.max_reconnects:
-                continue  # this agent's budget is spent: drop it
-            try:
-                link = self._connect(item["slot"])
-            except (OSError, ProtocolError, EOFError):
-                item["failures"] += 1
-                host, port = self._hosts[item["slot"]]
-                # Seeded exponential backoff with deterministic jitter
-                # (the runner's retry policy, reused): repeated failures
-                # against one address space out geometrically from one
-                # supervision tick, capped at 2s, and the per-address
-                # jitter keeps a pool that lost several agents at once
-                # from redialing them in lockstep.
-                item["next_try"] = now + _runner.seeded_backoff(
-                    SUPERVISION_TICK,
-                    self.backoff_seed,
-                    f"reconnect:{host}:{port}",
-                    item["failures"] + 1,
-                    cap=2.0,
-                )
-                still_down.append(item)
-                continue
-            self._links.append(link)
-            self._events.append(PoolEvent(
-                "respawn", worker=link.slot, label=link.label
-            ))
-        self._down = still_down
-        if not self._links and not self._down:
-            self._degrade()  # no agent left, none coming back
-
-    # -- dispatch-core hooks ----------------------------------------------
-
-    def _executors(self) -> List[AgentLink]:
-        return list(self._links)
-
-    def _write(self, link: AgentLink, kind: str, data: Dict[str, Any],
-               corrupt: bool = False) -> bool:
-        try:
-            send_message(link.conn, kind, data, corrupt=corrupt)
-        except OSError:
-            return False
-        return True
-
-    def _scan_liveness(self) -> None:
-        self._scan_silence(self.hang_timeout)
-        self._try_reconnects()
-
-    def _collect(self, deadline: Optional[float]) -> bool:
-        wait = self._wait_budget(deadline)
-        by_sock = {link.conn: link for link in self._links}
-        if not by_sock:
-            time.sleep(wait)
-            return False
-        try:
-            readable, _, _ = select.select(list(by_sock), [], [], wait)
-        except OSError:
-            readable = []
-        for sock in readable:
-            link = by_sock[sock]
-            if link.lost:
-                continue
-            try:
-                kind, data = recv_message(sock)
-            except (ProtocolError, EOFError, OSError):
-                self._lose(link, "crash")
-                continue
-            link.last_recv = time.monotonic()
-            if kind == "result":
-                self._accept_result(link, data)
-            # heartbeats only refresh last_recv; unknown kinds ignored.
-        return False
-
-    def _lose(self, link: AgentLink, reason: str) -> None:
-        """Salvage, requeue, schedule reconnection — the failover path."""
-        if link.lost:
-            return
-        link.lost = True
-        self._links.remove(link)
-        # An agent that sent results and *then* died must not cost the
-        # sweep measurements: drain whatever already reached our socket
-        # buffer before tearing the link down.
-        try:
-            while link.in_flight and _readable(link.conn):
-                kind, data = recv_message(link.conn)
-                if kind == "result":
-                    self._accept_result(link, data)
-        except (ProtocolError, EOFError, OSError):
-            pass
-        try:
-            link.conn.close()
-        except OSError:
-            pass
-        requeued = [link.in_flight[i] for i in sorted(link.in_flight)]
-        link.in_flight.clear()
-        self._fail_over(reason, link.slot, requeued, link.label)
-        self._down.append({
-            "slot": link.slot,
-            "next_try": time.monotonic() + SUPERVISION_TICK,
-            "failures": 0,
-        })
-
-    def _settle(self, link: AgentLink, outcome: Tuple,
-                data: Dict[str, Any]) -> None:
-        task = link.in_flight.pop(outcome[1], None)
-        self._host_info[link.label]["results"] += 1
-        self._result_event(link, task, outcome, data)
 
 
 def _readable(sock: socket.socket, timeout: float = 0.0) -> bool:
@@ -1324,7 +948,7 @@ def build_hello(
     worker pool (``hang_timeout=None`` asks each agent's pool to adapt
     its own threshold), and whether workers should trace their tasks.
     The ``auth`` field is deliberately absent here:
-    :class:`AgentPool` fills it per connection, because the
+    :func:`open_session` fills it per connection, because the
     :func:`auth_proof` depends on the session's challenge nonce.
     """
     from dataclasses import asdict

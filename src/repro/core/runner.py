@@ -15,9 +15,10 @@ the serial, in-process :meth:`Experiment.sweep` into a production run:
   measurement's retry budget.  Result order is the *request* order,
   independent of completion order, so parallel and serial sweeps are
   byte-identical — even under injected worker crashes and hangs;
-- **distributed** — with ``hosts`` set, the same event loop drives a
-  :class:`~repro.core.distributed.AgentPool` of remote agents over TCP
-  instead of local processes; both pools implement
+- **distributed** — with ``hosts`` set, the same event loop leases
+  setups to remote agents over TCP through
+  :class:`~repro.core.service.LeasePool`, the pool ``repro serve``
+  uses, instead of local processes; both pools implement
   :class:`~repro.core.supervisor.DispatchPool`, so every supervision
   guarantee above (failover at the same attempt, bounded recovery,
   honest degradation, byte-identical reports) holds across machines
@@ -113,8 +114,8 @@ def seeded_backoff(
     the delay so an exponent never waits unboundedly long.
 
     This is the one backoff policy shared by measurement retries
-    (:meth:`RunnerConfig.backoff_delay`), coordinator reconnects to
-    lost agents (:class:`~repro.core.distributed.AgentPool`), and
+    (:meth:`RunnerConfig.backoff_delay`), a ``--hosts`` roster redialing
+    its lost agents (:class:`~repro.core.service.HostRoster`), and
     dial-in agents re-registering with a restarted service coordinator
     (:meth:`~repro.core.distributed.AgentServer.serve_connect`).
     """
@@ -150,23 +151,27 @@ class RunnerConfig:
             (the default) lets the supervised pool *adapt* the threshold
             to observed task durations — a clamped multiple of the
             rolling p95 (see
-            :meth:`~repro.core.supervisor.SupervisedPool.effective_hang_timeout`);
-            the distributed coordinator, which cannot observe remote
-            task durations directly, falls back to
-            :data:`~repro.core.supervisor.DEFAULT_HANG_TIMEOUT` for its
-            own link liveness while each agent's local pool adapts.
+            :meth:`~repro.core.supervisor.SupervisedPool.effective_hang_timeout`).
+            With ``hosts`` set it is the lease deadline: a setup leased
+            to an agent longer than this (or to an agent silent that
+            long) is requeued at the same attempt, and None adapts the
+            deadline to observed lease durations the same way; each
+            agent's local pool also receives it as its hang threshold.
         max_respawns: replacement workers the supervised pool may start
             before the sweep degrades to in-process execution; with
-            ``hosts`` set it is the coordinator's *reconnection* budget
-            across lost agents instead.
+            ``hosts`` set it is also each lost agent's *redial* budget:
+            the agent is dropped once this many dials in a row fail.
         journal_max_records: auto-compact the checkpoint journal after a
             completed sweep when it holds more than this many
             (measurement + aux) records; None disables.
         journal_max_bytes: likewise, by file size; None disables.
         hosts: ``"host1:port1,host2:port2"`` roster of remote sweep
-            agents (``repro agent``); when set the sweep is dispatched
-            over TCP and ``jobs`` is ignored (each agent's capacity is
-            its own ``--jobs``).  None (the default) runs locally.
+            agents (``repro agent --listen``); when set the sweep is
+            leased to them over TCP and ``jobs`` is ignored (each
+            agent's capacity is its own ``--jobs``).  At-least-once: a
+            setup whose lease expires, or that an idle agent steals,
+            can run twice, and the first result wins.  None (the
+            default) runs locally.
         connect_timeout: TCP connect + handshake deadline per agent
             connection attempt (distributed mode only).
         secret: shared secret for the agent hello handshake (distributed
@@ -711,9 +716,9 @@ def compact_journal(path: str) -> CompactionStats:
 
 _WORKER_EXPERIMENTS: Dict[Tuple[str, str, int, bool], Experiment] = {}
 
-
-def _pool_initializer(plan: Optional[faults.FaultPlan]) -> None:
-    faults.install(plan)
+# A forked worker starts with an empty cache: a run its parent cached
+# in-process (a degraded agent, say) would skip that run's fault draws.
+os.register_at_fork(after_in_child=lambda: _WORKER_EXPERIMENTS.clear())
 
 
 def _worker_experiment(
@@ -797,6 +802,17 @@ def _measure_task(
 
 # -- the runner -------------------------------------------------------------
 
+#: Counter and trace-instant names of an executor event, by kind and by
+#: whether the executor is a remote agent.
+_EXECUTOR_EVENTS = {
+    ("crash", False): ("supervisor.worker_crashes", "worker_crash"),
+    ("crash", True): ("distributed.agent_losses", "agent_crash"),
+    ("hang", False): ("supervisor.worker_hangs", "worker_hang"),
+    ("hang", True): ("distributed.agent_partitions", "agent_hang"),
+    ("respawn", False): ("supervisor.respawns", "worker_respawn"),
+    ("respawn", True): ("distributed.reconnects", "agent_reconnect"),
+}
+
 
 class SweepRunner:
     """Fault-tolerant executor for one experiment's setup sweep.
@@ -861,10 +877,15 @@ class SweepRunner:
         #: The pool currently dispatching; read by the timeline sampler
         #: for utilisation, never mutated through here.
         self._active_pool: Optional[supervisor.DispatchPool] = None
-        #: Per-host provenance from the last distributed run (one dict
-        #: per agent address: hostname, pid, agent version, jobs,
-        #: results served); empty for local runs.  Feeds the manifest.
-        self.hosts_served: List[Dict[str, Any]] = []
+        #: The agents of the last ``hosts`` run (a HostRoster), if any.
+        self._roster = None
+
+    @property
+    def hosts_served(self) -> List[Dict[str, Any]]:
+        """Per-host provenance from the last distributed run (one dict
+        per agent address: hostname, pid, agent version, jobs, sessions,
+        results accepted); empty for local runs.  Feeds the manifest."""
+        return [] if self._roster is None else self._roster.hosts_info()
 
     # -- public API -------------------------------------------------------
 
@@ -1179,7 +1200,7 @@ class SweepRunner:
                     # honestly — name every setup the pool failed to
                     # measure and finish them in-process, never publish
                     # a silent partial table.
-                    self._release(pool)
+                    pool.close()
                     remaining = sorted(outstanding)
                     report.degraded = True
                     report.degraded_setups = [
@@ -1203,29 +1224,8 @@ class SweepRunner:
                     for index in remaining:
                         pool.submit(make_task(index, attempts_now[index]))
                     continue
-                if event.kind in ("crash", "hang"):
-                    self._worker_failed(event)
-                    continue
-                if event.kind == "respawn":
-                    if event.label:
-                        obs_metrics.counter("distributed.reconnects").inc()
-                        obs_trace.instant(
-                            "agent_reconnect",
-                            category="distributed",
-                            worker=event.worker,
-                            label=event.label,
-                        )
-                        self.progress.worker_event(
-                            "respawn", event.worker, detail=event.label
-                        )
-                    else:
-                        obs_metrics.counter("supervisor.respawns").inc()
-                        obs_trace.instant(
-                            "worker_respawn",
-                            category="supervisor",
-                            worker=event.worker,
-                        )
-                        self.progress.worker_event("respawn", event.worker)
+                if event.kind in ("crash", "hang", "respawn"):
+                    self._executor_event(event)
                     continue
                 kind, index, attempt, data = event.result
                 if index not in outstanding or (index, attempt) in seen:
@@ -1311,45 +1311,45 @@ class SweepRunner:
                 attempts_now.pop(index, None)
         finally:
             self._active_pool = None
-            self._release(pool)
+            pool.close()
+            if self._roster is not None:
+                self._roster.close()
         report.quarantined.sort(key=lambda q: q.index)
-
-    def _release(self, pool: supervisor.DispatchPool) -> None:
-        """Close ``pool``, first keeping a remote pool's per-host
-        provenance for the manifest."""
-        hosts_info = getattr(pool, "hosts_info", None)
-        if hosts_info is not None:
-            self.hosts_served = hosts_info()
-        pool.close()
 
     def _make_pool(
         self, pending_count: int, tracing: bool
     ) -> supervisor.DispatchPool:
-        """The in-process pool for ``jobs=1``, a local worker pool, or a
-        remote agent pool when ``hosts`` is set — the loop above drives
-        each through the shared
+        """The in-process pool for ``jobs=1``, a local worker pool, or,
+        when ``hosts`` is set, a lease pool over the dialed roster — the
+        loop above drives each through the shared
         :class:`~repro.core.supervisor.DispatchPool` interface."""
         cfg = self.config
         if cfg.hosts:
-            from repro.core import distributed
+            from repro.core import distributed, service
 
             plan = faults.active()
-            return distributed.AgentPool(
-                hosts=distributed.parse_hosts(cfg.hosts),
-                hello=distributed.build_hello(
+            self._roster = service.HostRoster(
+                distributed.parse_hosts(cfg.hosts),
+                distributed.build_hello(
                     plan,
                     heartbeat_interval=cfg.heartbeat_interval,
                     hang_timeout=cfg.hang_timeout,
                     max_respawns=cfg.max_respawns,
                     tracing=tracing,
                 ),
-                fault_plan=plan,
-                heartbeat_interval=cfg.heartbeat_interval,
-                hang_timeout=cfg.hang_timeout,
-                max_reconnects=cfg.max_respawns,
-                connect_timeout=cfg.connect_timeout,
                 secret=cfg.secret,
+                connect_timeout=cfg.connect_timeout,
+                max_redials=cfg.max_respawns,
                 backoff_seed=cfg.backoff_seed,
+            )
+            # No grace: the roster's redial budget bounds the wait for
+            # an agent, and a roster with none left degrades at once.
+            return service.LeasePool(
+                self._roster,
+                fault_plan=plan,
+                lease_timeout=cfg.hang_timeout,
+                heartbeat_interval=cfg.heartbeat_interval,
+                agentless_grace=float("inf"),
             )
         if cfg.jobs == 1:
             return self._inline_pool()
@@ -1391,34 +1391,28 @@ class SweepRunner:
 
         return supervisor.InlinePool(measure)
 
-    def _worker_failed(self, event: supervisor.PoolEvent) -> None:
+    def _executor_event(self, event: supervisor.PoolEvent) -> None:
+        """Account a failed or replaced executor: a local worker, or a
+        remote agent when the event carries the agent's label."""
         remote = bool(event.label)
-        name = {
-            "crash": "distributed.agent_losses"
-            if remote
-            else "supervisor.worker_crashes",
-            "hang": "distributed.agent_partitions"
-            if remote
-            else "supervisor.worker_hangs",
-        }[event.kind]
-        obs_metrics.counter(name).inc()
+        counter, instant = _EXECUTOR_EVENTS[event.kind, remote]
+        obs_metrics.counter(counter).inc()
         # A local worker hands back at most one task; a lost agent every
-        # in-flight task it was serving.
+        # in-flight task it was serving; a replacement none.
         indices: List[int] = sorted(t.index for t in event.tasks)
         index = indices[0] if indices else None
-        extra: Dict[str, Any] = (
-            {"label": event.label, "indices": indices} if remote else {}
-        )
+        args: Dict[str, Any] = {"worker": event.worker}
+        if event.kind != "respawn":
+            args["index"] = index
+        if remote:
+            args["label"] = event.label
+            if event.kind != "respawn":
+                args["indices"] = indices
         obs_trace.instant(
-            ("agent_" if remote else "worker_") + event.kind,
+            instant,
             category="distributed" if remote else "supervisor",
-            worker=event.worker,
-            index=index,
-            **extra,
+            **args,
         )
         self.progress.worker_event(
-            event.kind,
-            event.worker,
-            index=index,
-            detail=event.label if remote else "",
+            event.kind, event.worker, index=index, detail=event.label
         )

@@ -23,8 +23,9 @@ half-finished study finds every pre-crash measurement as a store hit —
 accounted identically to a fresh measurement — so the finished report
 is byte-identical to one from an uninterrupted (or serial) run.
 
-**Lease-based dispatch** (:class:`LeasePool`).  Setups are leased to
-agents at-least-once: a lease whose agent disconnects, goes silent past
+**Lease-based dispatch** (:class:`LeasePool`, the lab's one remote
+pool: a ``--hosts`` sweep leases through it too, to the agents a
+:class:`HostRoster` dials).  Setups are leased to agents at-least-once: a lease whose agent disconnects, goes silent past
 the adaptive expiry (the supervisor's deadline policy, shared via
 :func:`~repro.core.supervisor.adaptive_deadline`), or draws the
 ``lease_expire`` chaos kind is requeued **at the same attempt**, so
@@ -60,32 +61,41 @@ import json
 import os
 import queue
 import signal
+import socket
 import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import faults
 from repro.core.bias import StudySpec
 from repro.core.distributed import (
     AgentLink,
+    AgentUnavailable,
     ProtocolError,
-    RemotePool,
     _HEADER,
+    _track,
     build_hello,
     challenge,
     check_frame_header,
     decode_payload,
     encode_message,
+    open_session,
+    payload_to_wire,
     refusal,
 )
 from repro.core.errors import ReproError
-from repro.core.runner import RunnerConfig, SweepRunner
+from repro.core.runner import RunnerConfig, SweepRunner, seeded_backoff
 from repro.core.servicewal import ServiceWAL
 from repro.core.session import record_checksum
 from repro.core import supervisor
-from repro.core.supervisor import DispatchPool, Task
+from repro.core.supervisor import (
+    SUPERVISION_TICK,
+    DispatchPool,
+    PoolEvent,
+    Task,
+)
 from repro._errors import JournalWriteError
 from repro.obs import metrics as obs_metrics
 from repro.obs import progress as obs_progress
@@ -113,16 +123,26 @@ _HTTP_REASONS = {
 # -- agent registry (asyncio side) -------------------------------------------
 
 
+async def read_frame(
+    reader: asyncio.StreamReader,
+) -> Tuple[str, Dict[str, Any]]:
+    """One checksummed frame from an agent link's stream (the asyncio
+    twin of :func:`~repro.core.distributed.recv_message`)."""
+    magic, length = _HEADER.unpack(await reader.readexactly(_HEADER.size))
+    check_frame_header(magic, length)
+    return decode_payload(await reader.readexactly(length))
+
+
 class AgentRegistry:
     """The set of live agent links, shared between the asyncio side
     (which owns every socket) and the executor thread's lease pool.
 
     All socket I/O stays on the event loop: the pool *sends* by
     scheduling a write with ``call_soon_threadsafe`` and *receives*
-    through the thread-safe :attr:`inbox` queue the reader coroutines
-    feed (``("joined", link)`` / ``("result", link, data)`` /
-    ``("lost", link)``).  Links survive across studies — one rendezvous
-    serves any number of lease pools.
+    through the thread-safe :attr:`inbox` queue that :meth:`serve`, the
+    one read loop for every link, feeds (``("joined", link)`` /
+    ``("result", link, data)`` / ``("lost", link)``).  Links survive
+    across studies — one rendezvous serves any number of lease pools.
     """
 
     def __init__(self) -> None:
@@ -142,6 +162,10 @@ class AgentRegistry:
             self._slots += 1
             return self._slots
 
+    def expecting(self) -> bool:
+        """Whether an agent may still join: always, at a rendezvous."""
+        return True
+
     def register(self, link: AgentLink) -> None:
         """Add a freshly handshaken link (loop thread only)."""
         with self._lock:
@@ -156,6 +180,25 @@ class AgentRegistry:
                 self._links.remove(link)
         self.inbox.put(("lost", link))
 
+    async def serve(self, link: AgentLink,
+                    reader: asyncio.StreamReader) -> str:
+        """The read loop of every registered link, whichever side
+        dialed: feed its results to :attr:`inbox` until the connection
+        ends, then discard the link.  Returns why it ended."""
+        try:
+            while True:
+                kind, data = await read_frame(reader)
+                link.last_recv = time.monotonic()
+                if kind == "result":
+                    self.inbox.put(("result", link, data))
+                # heartbeats only refresh last_recv; others are ignored.
+        except (asyncio.IncompleteReadError, ConnectionError, OSError,
+                ProtocolError) as exc:
+            return str(exc)
+        finally:
+            self.discard(link)
+            link.conn.close()
+
     def live_links(self) -> List[AgentLink]:
         """Snapshot of currently registered links (any thread)."""
         with self._lock:
@@ -168,14 +211,15 @@ class AgentRegistry:
         Returns False if the link is already known lost; otherwise the
         write is scheduled on the loop and failures surface as a
         ``("lost", link)`` inbox event — the lease pool's expiry path
-        covers anything a silent loss swallows.
+        covers anything a silent loss swallows.  A frame sent before
+        the link was lost still goes out, ahead of any scheduled close.
         """
         if link.lost or self._loop is None:
             return False
         payload = encode_message(kind, data, corrupt=corrupt)
 
         def _write() -> None:
-            if link.lost or link.conn.is_closing():
+            if link.conn.is_closing():
                 return
             try:
                 link.conn.write(payload)
@@ -187,25 +231,211 @@ class AgentRegistry:
 
     def kill(self, link: AgentLink) -> None:
         """Force-close a link's transport from any thread (used by the
-        ``net_partition`` draw and staleness scans); the reader
-        coroutine then observes EOF and discards the link."""
+        ``net_partition`` draw and staleness scans); the read loop then
+        observes EOF and discards the link."""
         if self._loop is None:
             return
         self._loop.call_soon_threadsafe(link.conn.close)
 
     def agents_doc(self) -> List[Dict[str, Any]]:
         """Status-endpoint view of every live agent."""
-        docs = []
-        for link in self.live_links():
-            docs.append({
-                "label": link.label,
-                "hostname": link.info.get("hostname"),
-                "pid": link.info.get("pid"),
-                "jobs": link.capacity,
-                "in_flight": len(link.in_flight),
-                "results": link.results,
+        return [{
+            "label": link.label,
+            "hostname": link.info.get("hostname"),
+            "pid": link.info.get("pid"),
+            "jobs": link.capacity,
+            "in_flight": len(link.in_flight),
+            "results": link.results,
+        } for link in self.live_links()]
+
+
+class HostRoster(AgentRegistry):
+    """A static ``--hosts`` roster: a registry whose agents are dialed
+    (``hello`` handshake) instead of dialing in; after the handshake a
+    link is served by :meth:`AgentRegistry.serve` like any other.  The
+    roster's event loop runs on a thread of its own, and redials run on
+    that loop's executor, never on the dispatch thread.
+
+    Args:
+        hosts: ``(host, port)`` pairs, indexed by worker slot; each must
+            accept the first dial (a bad roster is operator error and
+            fails loudly as :class:`AgentUnavailable`, before any
+            measurement starts).
+        hello: session parameters sent to every agent (fault plan,
+            runner knobs, tracing flag); see :func:`build_hello`.
+        secret: optional shared secret; every dial answers the agent's
+            fresh ``challenge`` nonce with its own proof.
+        connect_timeout: TCP connect + handshake deadline per dial.
+        max_redials: a lost agent is redialed until this many dials in
+            a row fail, then dropped for good.  Per agent (unlike the
+            local pool's global respawn budget) because agent failures
+            are independent: one dead host refusing connections must not
+            spend the budget a merely-partitioned host needs to heal.
+        backoff_seed: seed for the deterministic redial jitter
+            (:func:`~repro.core.runner.seeded_backoff`), so retries and
+            redials share one reproducible schedule.
+    """
+
+    def __init__(
+        self,
+        hosts: Sequence[Tuple[str, int]],
+        hello: Dict[str, Any],
+        secret: Optional[str] = None,
+        connect_timeout: float = 10.0,
+        max_redials: int = 8,
+        backoff_seed: int = 0,
+    ) -> None:
+        super().__init__()
+        self.hosts = list(hosts)
+        self.hello = dict(hello)
+        self.secret = secret
+        self.connect_timeout = connect_timeout
+        self.max_redials = max_redials
+        self.backoff_seed = backoff_seed
+        #: Every link this roster opened, in order (the manifest's
+        #: per-host sessions and results).
+        self._sessions: List[AgentLink] = []
+        #: Slots whose agent is connected or still being redialed.
+        self._tended: Set[int] = set(range(len(self.hosts)))
+        opened: List[Tuple[socket.socket, Dict[str, Any]]] = []
+        try:
+            for slot in range(len(self.hosts)):
+                opened.append(self._dial(slot))
+        except (OSError, ProtocolError, EOFError) as exc:
+            for sock, _ in opened:
+                sock.close()
+            host, port = self.hosts[len(opened)]
+            raise AgentUnavailable(
+                f"agent {host}:{port} is unreachable: {exc}"
+            ) from exc
+        loop = asyncio.new_event_loop()
+        self.attach_loop(loop)
+        self._thread = threading.Thread(
+            target=loop.run_forever, name="host-roster", daemon=True
+        )
+        self._thread.start()
+        # Held: the loop keeps only weak references to its tasks.
+        self._keepers = [
+            asyncio.run_coroutine_threadsafe(self._keep(slot, *dialed), loop)
+            for slot, dialed in enumerate(opened)
+        ]
+
+    def expecting(self) -> bool:
+        """Whether an agent may still join: some agent is connected or
+        still has redials left."""
+        return bool(self._tended)
+
+    def hosts_info(self) -> List[Dict[str, Any]]:
+        """Per-host provenance for the manifest: every agent this roster
+        reached, its identity, its sessions and the results accepted
+        from it (duplicates of a stolen or expired lease not counted)."""
+        info: Dict[str, Dict[str, Any]] = {}
+        for link in list(self._sessions):
+            host, port = self.hosts[link.slot]
+            entry = info.setdefault(link.label, {
+                "host": host, "port": port, "results": 0, "sessions": 0,
             })
-        return docs
+            entry.update({key: link.info.get(key) for key in (
+                "hostname", "pid", "agent_version", "jobs")})
+            entry["sessions"] += 1
+            entry["results"] += link.results
+        return [info[label] for label in sorted(info)]
+
+    def close(self) -> None:
+        """Send every agent ``shutdown`` and hang up (a listening agent
+        returns to its accept loop for the next session), then stop the
+        roster's loop (idempotent)."""
+        if self._loop.is_closed():
+            return
+
+        async def hang_up() -> None:
+            for link in self.live_links():
+                if not link.conn.is_closing():
+                    link.conn.write(encode_message("shutdown", {}))
+            # The loop runs nothing but the keepers.
+            keepers = asyncio.all_tasks() - {asyncio.current_task()}
+            for keeper in keepers:
+                keeper.cancel()
+            await asyncio.gather(*keepers, return_exceptions=True)
+            await asyncio.gather(
+                *(link.conn.wait_closed() for link in self._sessions),
+                return_exceptions=True,
+            )
+
+        asyncio.run_coroutine_threadsafe(hang_up(), self._loop).result()
+        self._loop.call_soon_threadsafe(self._loop.stop)
+        self._thread.join()
+        self._loop.close()
+
+    # -- the loop side ----------------------------------------------------
+
+    def _dial(self, slot: int) -> Tuple[socket.socket, Dict[str, Any]]:
+        """Connect to the agent in ``slot`` and run the ``hello``
+        handshake; returns the socket and the agent's identity."""
+        host, port = self.hosts[slot]
+        label = f"{host}:{port}"
+        sock = _track(socket.create_connection(
+            (host, port), timeout=self.connect_timeout
+        ))
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            kind, info = open_session(
+                sock, "hello", self.hello, self.secret, f"agent {label}",
+                "hello_ack",
+            )
+            if kind == "error":
+                if info.get("code") == "auth":
+                    # Counted apart from transport losses: a wrong
+                    # secret is a configuration problem, and it spends
+                    # the same per-agent budget a dead host would.
+                    obs_metrics.counter("distributed.auth_failures").inc()
+                raise ProtocolError(
+                    f"agent {label} rejected the session: "
+                    f"{info.get('message')}"
+                )
+        except Exception:
+            sock.close()
+            raise
+        return sock, info
+
+    async def _keep(self, slot: int, sock: socket.socket,
+                    info: Dict[str, Any]) -> None:
+        """Serve the agent in ``slot`` and, each time it is lost, redial
+        it until ``max_redials`` dials in a row fail.  The slot stays
+        tended throughout, so the pool never reads "no agent left, none
+        coming" while a redial is pending."""
+        host, port = self.hosts[slot]
+        loop = asyncio.get_running_loop()
+        try:
+            while sock is not None:
+                reader, writer = await asyncio.open_connection(sock=sock)
+                link = AgentLink(slot, f"{host}:{port}", info, writer)
+                self._sessions.append(link)
+                self.register(link)
+                await self.serve(link, reader)
+                sock, delay = None, SUPERVISION_TICK
+                for failures in range(self.max_redials):
+                    await asyncio.sleep(delay)
+                    try:
+                        sock, info = await loop.run_in_executor(
+                            None, self._dial, slot
+                        )
+                        break
+                    except (OSError, ProtocolError, EOFError):
+                        # Seeded exponential backoff with deterministic
+                        # jitter (the runner's retry policy, reused):
+                        # failed dials to one address space out
+                        # geometrically from one supervision tick,
+                        # capped at 2 s, and the per-address jitter
+                        # keeps a roster that lost several agents at
+                        # once from redialing them in lockstep.
+                        delay = seeded_backoff(
+                            SUPERVISION_TICK, self.backoff_seed,
+                            f"reconnect:{host}:{port}", failures + 2,
+                            cap=2.0,
+                        )
+        finally:
+            self._tended.discard(slot)  # budget spent, or closed
 
 
 # -- lease-based dispatch ----------------------------------------------------
@@ -225,18 +455,21 @@ class _Lease:
         self.forced = False
 
 
-class LeasePool(RemotePool):
-    """Registered-agent dispatch behind the runner's pool interface.
+class LeasePool(DispatchPool):
+    """The one remote pool: agent dispatch behind the runner's pool
+    interface.
 
-    The sweep runner drives this exactly like :class:`SupervisedPool`
-    or ``AgentPool`` — submit tasks, poll events — but executors are
-    whatever agents have *dialed in*, and every dispatch is a **lease**:
+    The sweep runner drives this exactly like :class:`SupervisedPool` —
+    submit tasks, poll events — but executors are the live links of an
+    :class:`AgentRegistry` (agents dialed in to ``repro serve``, or a
+    ``--hosts`` :class:`HostRoster`), and every dispatch is a **lease**:
 
     - a lease expires when its agent disconnects, goes silent past
       :meth:`effective_lease_timeout` (the supervisor's adaptive
       deadline over observed lease durations), or draws the
       ``lease_expire`` chaos kind — and the setup requeues at the head
       of the queue **at the same attempt number**;
+    - a lost agent's link leaves dispatch at once;
     - results are matched by ``(index, attempt)`` and the task key the
       agent echoes: a late duplicate from an expired lease (or from a
       study that already finished) is counted and dropped, so
@@ -246,9 +479,11 @@ class LeasePool(RemotePool):
       every dispatch pool);
     - an idle agent steals the newest solely-held lease of any agent
       sitting on more than one, re-dispatching it — first result wins;
-    - with work outstanding but no agents at all, the pool waits
-      ``agentless_grace`` seconds for a rendezvous, then emits
-      ``degraded`` so the runner finishes in-process, honestly.
+    - a link rejoining a slot (a roster redial) is a ``respawn``;
+    - with work outstanding but no agents at all, the pool emits
+      ``degraded`` so the runner finishes in-process, honestly: at once
+      when the registry expects no agent, else after
+      ``agentless_grace`` seconds.
 
     ``on_lease(index, attempt, agent)`` and
     ``on_requeue(index, attempt, reason)`` fire *before* the action
@@ -271,14 +506,16 @@ class LeasePool(RemotePool):
         on_lease: Optional[Callable[[int, int, str], None]] = None,
         on_requeue: Optional[Callable[[int, int, str], None]] = None,
     ) -> None:
-        super().__init__(fault_plan, heartbeat_interval)
+        super().__init__(heartbeat_interval)
         self.registry = registry
+        self.fault_plan = fault_plan
         self.lease_timeout = lease_timeout
         self.agentless_grace = agentless_grace
         self._on_lease = on_lease or (lambda index, attempt, agent: None)
         self._on_requeue = on_requeue or (lambda index, attempt, reason: None)
         self._leases: Dict[int, _Lease] = {}
         self._lost: Set[int] = set()  # id()s of links already failed
+        self._slots: Set[int] = set()  # slots a link has joined
         self._durations = obs_metrics.Histogram(
             "service.lease_seconds", window=supervisor._ADAPTIVE_WINDOW
         )
@@ -302,7 +539,7 @@ class LeasePool(RemotePool):
 
     def close(self) -> None:
         """Release every lease, keep every agent (links are owned by the
-        registry and serve the next study's pool)."""
+        registry, which may serve the next study's pool)."""
         if self._closed:
             return
         self._closed = True
@@ -317,20 +554,40 @@ class LeasePool(RemotePool):
     def _executors(self) -> List[AgentLink]:
         return [l for l in self.registry.live_links() if not l.lost]
 
+    def _load(self, link: AgentLink) -> int:
+        return len(link.in_flight)
+
     def _outstanding(self) -> bool:
         return bool(self._leases)
 
-    def _write(self, link: AgentLink, kind: str, data: Dict[str, Any],
-               corrupt: bool = False) -> bool:
-        return self.registry.send(link, kind, data, corrupt=corrupt)
+    def _send(self, link: AgentLink, task: Task, count: int) -> bool:
+        plan = self.fault_plan
+        if plan is not None and plan.fires("net_partition", task.key, count):
+            # The network dies as we dispatch: nothing is sent, the
+            # dispatch is spent (so a transient partition clears on the
+            # re-dispatch), and the link fails over like any other loss.
+            self._dispatched[task.index] = count
+            self._lose(link, "crash")
+            return False
+        corrupt = plan is not None and plan.fires(
+            "message_corrupt", task.key, count
+        )
+        if not self._send_task(link, task, count, corrupt):
+            self._lose(link, "crash")
+            return False
+        self._grant(link, task, count)
+        return True
 
     def _scan_liveness(self) -> None:
         self._scan_leases()
-        # An agent silent past the lease deadline is partitioned; its
-        # leases requeue through the loss path.
-        self._scan_silence(
-            max(self.effective_lease_timeout(), 4 * self.heartbeat_interval)
-        )
+        # An agent silent past the lease deadline is partitioned,
+        # whatever TCP thinks; its leases requeue through the loss path.
+        now = time.monotonic()
+        silence = max(self.effective_lease_timeout(),
+                      4 * self.heartbeat_interval)
+        for link in self._executors():
+            if now - link.last_recv > silence:
+                self._lose(link, "hang")
         self._steal_work()
         self._check_agentless()
 
@@ -342,19 +599,36 @@ class LeasePool(RemotePool):
         except queue.Empty:
             return False
         while True:
-            kind = item[0]
+            kind, link = item[0], item[1]
             if kind == "joined":
                 self._agentless_since = None
+                if link.slot in self._slots:
+                    # Not the slot's first join, so its agent is back
+                    # after a loss; a first join whose link was lost
+                    # before this read is no reconnect.
+                    self._events.append(PoolEvent(
+                        "respawn", worker=link.slot, label=link.label
+                    ))
+                self._slots.add(link.slot)
             elif kind == "lost":
-                self._lose(item[1], "crash")
+                self._lose(link, "crash")
             elif kind == "result":
-                self._accept_result(item[1], item[2])
+                self._accept_result(link, item[2])
             try:
                 item = self.registry.inbox.get_nowait()
             except queue.Empty:
                 return False
 
     # -- leases -----------------------------------------------------------
+
+    def _send_task(self, link: AgentLink, task: Task, count: int,
+                   corrupt: bool = False) -> bool:
+        """Write one task frame; False when the link is known lost."""
+        return self.registry.send(link, "task", {
+            "key": task.key,
+            "dispatch": count,
+            "payload": payload_to_wire(task.payload),
+        }, corrupt=corrupt)
 
     def _grant(self, link: AgentLink, task: Task, count: int) -> None:
         """Record a lease — WAL first, then bookkeeping."""
@@ -380,13 +654,9 @@ class LeasePool(RemotePool):
         obs_metrics.counter("service.leases_expired").inc()
         for link in lease.links:
             link.in_flight.pop(index, None)
-        first = lease.links[0] if lease.links else None
-        self._fail_over(
-            "hang",
-            first.slot if first else -1,
-            [lease.task],
-            first.label if first else "",
-        )
+        # A lease always has a holder: the last one lost drops the lease.
+        first = lease.links[0]
+        self._fail_over("hang", first.slot, [lease.task], first.label)
 
     def _scan_leases(self) -> None:
         now = time.monotonic()
@@ -399,11 +669,15 @@ class LeasePool(RemotePool):
                 self._expire(index, "lease_timeout")
 
     def _lose(self, link: AgentLink, reason: str) -> None:
-        """Requeue every lease held *solely* by a lost agent, and make
-        sure its transport is closed."""
+        """Fail a lost link over: take it out of dispatch, requeue every
+        lease it held *solely*, and make sure its transport is closed."""
         if id(link) in self._lost:
             return
         self._lost.add(id(link))
+        # Out of dispatch now: the registry drops the link only once the
+        # loop has closed its transport, and the refill later in this
+        # very pass must not lease a requeued setup straight back to it.
+        link.lost = True
         requeued: List[Task] = []
         for index in sorted(list(link.in_flight)):
             task = link.in_flight.pop(index)
@@ -421,8 +695,22 @@ class LeasePool(RemotePool):
         self._fail_over(reason, link.slot, requeued, link.label)
         self.registry.kill(link)
 
-    def _settle(self, link: AgentLink, outcome: Tuple,
-                data: Dict[str, Any]) -> None:
+    def _accept_result(self, link: AgentLink, data: Dict[str, Any]) -> None:
+        """Take one result frame.  A frame can pass its checksum and
+        still carry an outcome that is not ``[kind, int index, int
+        attempt, data]`` (a version-skewed agent, say): that fails the
+        link over at the same attempt, exactly like a corrupt frame."""
+        outcome = data.get("outcome")
+        if not (
+            isinstance(outcome, list)
+            and len(outcome) == 4
+            and isinstance(outcome[0], str)
+            # Index and attempt are exact ints: JSON ``true`` is no index.
+            and all(type(n) is int for n in outcome[1:3])
+            and isinstance(outcome[3], dict)
+        ):
+            self._lose(link, "crash")
+            return
         index, attempt = outcome[1], outcome[2]
         lease = self._leases.get(index)
         if (
@@ -438,11 +726,19 @@ class LeasePool(RemotePool):
             # the same index and attempt.
             obs_metrics.counter("service.duplicate_results").inc()
             return
+        link.results += 1
         self._durations.observe(time.monotonic() - lease.granted)
         del self._leases[index]
         for holder in lease.links:
             holder.in_flight.pop(index, None)
-        self._result_event(link, lease.task, outcome, data)
+        self._events.append(PoolEvent(
+            "result",
+            worker=link.slot,
+            task=lease.task,
+            result=tuple(outcome),
+            records=data.get("records"),
+            label=link.label,
+        ))
 
     def _steal_work(self) -> None:
         """Rebalance: an idle agent takes the newest solely-held lease
@@ -472,17 +768,19 @@ class LeasePool(RemotePool):
             self._grant(thief, task, count)
 
     def _check_agentless(self) -> None:
-        """Degrade honestly when work is stuck with nobody to do it."""
-        if self.registry.live_links():
+        """Degrade honestly when work is stuck with nobody to do it: at
+        once when the registry expects no agent, else after
+        ``agentless_grace`` seconds without one."""
+        if self._executors():
             self._agentless_since = None
             return
         now = time.monotonic()
         if self._agentless_since is None:
             self._agentless_since = now
-            return
-        if now - self._agentless_since <= self.agentless_grace:
-            return
-        if self._degraded:
+        if self._degraded or (
+            self.registry.expecting()
+            and now - self._agentless_since <= self.agentless_grace
+        ):
             return
         leased: List[Task] = []
         for index in sorted(self._leases):
@@ -894,31 +1192,17 @@ class ServiceCoordinator:
 
     # -- agent rendezvous (asyncio) ---------------------------------------
 
-    async def _read_frame(self, reader: asyncio.StreamReader,
-                          timeout: Optional[float] = None
-                          ) -> Tuple[str, Dict[str, Any]]:
-        async def _read() -> Tuple[str, Dict[str, Any]]:
-            header = await reader.readexactly(_HEADER.size)
-            magic, length = _HEADER.unpack(header)
-            check_frame_header(magic, length)
-            return decode_payload(await reader.readexactly(length))
-
-        if timeout is None:
-            return await _read()
-        return await asyncio.wait_for(_read(), timeout)
-
     async def _handle_agent(self, reader: asyncio.StreamReader,
                             writer: asyncio.StreamWriter) -> None:
-        """One dialed-in agent: challenge handshake, then a read loop
-        feeding the registry inbox until the connection dies."""
+        """One dialed-in agent: challenge handshake, then the registry's
+        read loop until the connection dies."""
         peer = writer.get_extra_info("peername") or ("?", 0)
         label = f"{peer[0]}:{peer[1]}"
-        link: Optional[AgentLink] = None
         try:
             opening = challenge()
             writer.write(encode_message("challenge", opening))
             await writer.drain()
-            kind, data = await self._read_frame(reader, timeout=30.0)
+            kind, data = await asyncio.wait_for(read_frame(reader), 30.0)
             if kind != "register":
                 raise ProtocolError(f"expected register, got {kind!r}")
             refused = refusal(data, opening["nonce"], self.secret,
@@ -939,21 +1223,14 @@ class ServiceCoordinator:
                 f"agent {label} registered "
                 f"({link.capacity} job(s), pid {data.get('pid')})"
             )
-            while True:
-                kind, data = await self._read_frame(reader)
-                link.last_recv = time.monotonic()
-                if kind == "result":
-                    self.registry.inbox.put(("result", link, data))
-                # heartbeats only refresh last_recv; others are ignored.
+            reason = await self.registry.serve(link, reader)
+            self._log(f"agent {label} lost: {reason}")
         except (asyncio.IncompleteReadError, ConnectionError, OSError,
-                ProtocolError, asyncio.TimeoutError) as exc:
-            if link is not None:
-                self._log(f"agent {label} lost: {exc}")
+                ProtocolError, asyncio.TimeoutError):
+            pass  # a failed handshake: no link was registered
         except asyncio.CancelledError:
-            pass  # loop teardown at shutdown; cleanup happens below
+            pass  # loop teardown at shutdown; serve has cleaned up
         finally:
-            if link is not None:
-                self.registry.discard(link)
             writer.close()
 
     def _session_doc(self) -> Dict[str, Any]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict
+from dataclasses import fields
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro import storageio
@@ -29,6 +29,10 @@ from repro.arch.counters import PerfCounters
 from repro.arch.machines import MachineConfig
 from repro.core.experiment import Measurement
 from repro.core.setup import ExperimentalSetup
+
+#: ``PerfCounters`` field names, in order: the encoder copies them one by
+#: one, where ``dataclasses.asdict`` would deep-copy every number.
+_COUNTER_FIELDS = tuple(f.name for f in fields(PerfCounters))
 
 #: Legacy format marker (no per-record checksums).
 FORMAT_V1 = "repro-measurements-v1"
@@ -89,7 +93,7 @@ def measurement_to_dict(m: Measurement) -> Dict:
         "size": m.size,
         "seed": m.seed,
         "setup": setup_to_dict(m.setup),
-        "counters": asdict(m.counters),
+        "counters": {f: getattr(m.counters, f) for f in _COUNTER_FIELDS},
         "exit_value": m.exit_value,
         "function_cycles": dict(m.function_cycles),
     }

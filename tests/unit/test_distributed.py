@@ -6,12 +6,15 @@ partitions, corrupted frames) — produces a report byte-identical to the
 fault-free serial run; a roster with no live agent left degrades
 honestly to local execution; a bad roster fails loudly before any
 measurement; remote spans are grafted under host-qualified aliases;
-the manifest names every host that served results; dispatch is
-event-driven: an agent starts a task frame without waiting on a timer,
-and the coordinator refills a freed agent before it reports; the agent
-pool reports the worker gauges a metrics timeline samples; and an agent
-whose worker pool degrades keeps serving in-process, sending spans
-exactly when its session asks for them.
+the manifest names every host that served results; a ``--hosts``
+sweep leases, so each session beyond a host's first is one counted
+reconnect and an expired lease's twin never reaches the report;
+dispatch is event-driven: an agent starts a task frame without waiting
+on a timer, and the coordinator refills a freed agent before it
+reports; the roster-backed lease pool reports the worker gauges a
+metrics timeline samples; and an agent whose worker pool degrades
+keeps serving in-process, sending spans exactly when its session asks
+for them.
 """
 
 import contextlib
@@ -24,10 +27,11 @@ import pytest
 from repro import faults, workloads
 from repro.core import Experiment, ExperimentalSetup
 from repro.core import distributed as dist
-from repro.core import runner as runner_mod
+from repro.core import service as svc
 from repro.core.runner import RunnerConfig, SweepRunner
 from repro.core.supervisor import Task
 from repro.obs import manifest as obs_manifest
+from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
 WORKLOAD = "sphinx3"
@@ -87,6 +91,25 @@ def lone_agent(jobs, **kwargs):
     finally:
         server.stop()
         thread.join(timeout=5.0)
+
+
+@contextlib.contextmanager
+def roster_pool(addresses):
+    """A lease pool over a roster that dials ``addresses``, closed on
+    exit (the pool a ``--hosts`` sweep runs on)."""
+    roster = svc.HostRoster(
+        addresses, dist.build_hello(None, 0.05, 2.0, 2, False),
+        connect_timeout=3.0,
+    )
+    pool = svc.LeasePool(
+        roster, lease_timeout=2.0, heartbeat_interval=0.05,
+        agentless_grace=float("inf"),
+    )
+    try:
+        yield pool
+    finally:
+        pool.close()
+        roster.close()
 
 
 @pytest.fixture
@@ -336,6 +359,43 @@ class TestDistributedSweep:
             m.cycles for m in baseline.ok
         ]
 
+    @pytest.mark.slow
+    def test_each_session_after_a_hosts_first_is_one_reconnect(
+        self, agents
+    ):
+        """A join counts as a reconnect only when its link rejoins a
+        slot whose agent was lost, so the counter matches the sessions
+        the manifest names beyond each host's first."""
+        reconnects = obs_metrics.counter("distributed.reconnects")
+        before = reconnects.value
+        result, runner = run_sweep(
+            plan=CHAOS_PLAN, hosts=hosts_arg(agents), **FAST_DIST
+        )
+        assert result.report.complete
+        sessions = [h["sessions"] for h in runner.hosts_served]
+        assert max(sessions) > 1
+        assert reconnects.value - before == sum(sessions) - len(sessions)
+
+    @pytest.mark.slow
+    def test_expired_leases_are_invisible_in_the_report(self, agents):
+        """A ``--hosts`` sweep leases: a forced lease expiry requeues the
+        setup at the same attempt, the agent's late twin is dropped, and
+        the report and the per-host results stay exact."""
+        plan = faults.FaultPlan(
+            seed=3, lease_expire_rate=0.4, transient_fraction=1.0,
+            max_transient_attempts=1,
+        )
+        assert sum(plan.fires("lease_expire", key, 1) for key in keys()) == 2
+        expired = obs_metrics.counter("service.leases_expired")
+        before = expired.value
+        serial, _ = run_sweep()
+        result, runner = run_sweep(
+            plan=plan, hosts=hosts_arg(agents), **FAST_DIST
+        )
+        assert result.report.to_json() == serial.report.to_json()
+        assert expired.value - before >= 2
+        assert sum(h["results"] for h in runner.hosts_served) == len(SETUPS)
+
     def test_bad_roster_fails_loudly(self):
         probe = socket.socket()
         probe.bind(("127.0.0.1", 0))
@@ -439,25 +499,17 @@ class TestEventDrivenDispatch:
         assert (second["key"], second["dispatch"]) == (slow.key, 1)
 
     def test_agent_pool_refills_before_it_reports(self):
-        with lone_agent(jobs=1) as server:
-            pool = dist.AgentPool(
-                hosts=[server.address],
-                hello=dist.build_hello(None, 0.05, 2.0, 2, False),
-                heartbeat_interval=0.05,
-                hang_timeout=2.0,
-            )
-            try:
-                first, second = make_task(0), make_task(1)
-                pool.submit(first)
-                pool.submit(second)
-                event = pool.poll(timeout=30.0)
-                assert event.kind == "result" and event.task is first
-                (link,) = pool._links
-                assert link.in_flight == {second.index: second}
-                event = pool.poll(timeout=30.0)
-                assert event.kind == "result" and event.task is second
-            finally:
-                pool.close()
+        with lone_agent(jobs=1) as server, \
+                roster_pool([server.address]) as pool:
+            first, second = make_task(0), make_task(1)
+            pool.submit(first)
+            pool.submit(second)
+            event = pool.poll(timeout=30.0)
+            assert event.kind == "result" and event.task is first
+            (link,) = pool.registry.live_links()
+            assert link.in_flight == {second.index: second}
+            event = pool.poll(timeout=30.0)
+            assert event.kind == "result" and event.task is second
 
 
 class TestDegradedAgent:
@@ -468,13 +520,6 @@ class TestDegradedAgent:
     #: Every worker dies on its first task and none is respawned, so the
     #: agent's pool degrades at once.
     DOOMED = faults.FaultPlan(seed=1, worker_crash_rate=1.0)
-
-    @pytest.fixture(autouse=True)
-    def _own_experiment_cache(self, monkeypatch):
-        # The degraded agent measures in this process, through the
-        # experiment cache every worker forked later inherits; a run
-        # cached there would skip its fault draws in other tests' pools.
-        monkeypatch.setattr(runner_mod, "_WORKER_EXPERIMENTS", {})
 
     def degraded_result(self, task, tracing):
         """The result frame a degraded ``jobs=1`` agent sends for
@@ -526,25 +571,18 @@ class TestTimelineGauges:
         own gauges — live agents, busy agents and undispatched tasks —
         not the serial-mode placeholders."""
         tasks = [make_task(index, delay=0.5) for index in range(5)]
-        with lone_agent(jobs=2) as server:
-            pool = dist.AgentPool(
-                hosts=[server.address],
-                hello=dist.build_hello(None, 0.05, 2.0, 2, False),
-                heartbeat_interval=0.05,
-                hang_timeout=2.0,
-            )
-            try:
-                for task in tasks:
-                    pool.submit(task)
-                # Two tasks fill the agent's jobs; none is back yet.
-                assert pool.poll(timeout=0.1) is None
-                assert pool.stats() == {
-                    "workers_alive": 1,
-                    "workers_busy": 1,
-                    "queue_depth": 3,
-                }
-            finally:
-                pool.close()
+        with lone_agent(jobs=2) as server, \
+                roster_pool([server.address]) as pool:
+            for task in tasks:
+                pool.submit(task)
+            # Two tasks fill the agent's jobs; none is back yet.
+            assert pool.poll(timeout=0.1) is None
+            assert pool.stats() == {
+                "workers_alive": 1,
+                "workers_busy": 1,
+                "queue_depth": 3,
+                "leases": 2,
+            }
 
 
 class TestAuthentication:

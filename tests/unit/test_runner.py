@@ -147,6 +147,24 @@ class TestInProcessSweep:
             cfg.backoff_delay(keys[i], a + 1) for i, a in retries
         )
 
+    def test_forked_workers_start_with_an_empty_experiment_cache(
+        self, monkeypatch
+    ):
+        """A process that has measured in-process through the worker
+        experiment cache, as a degraded agent does, forks workers that
+        still draw every fault: no cached run is inherited."""
+        monkeypatch.setattr(runner_mod, "_WORKER_EXPERIMENTS", {})
+        serial = run_sweep(jobs=1, plan=NOISY_PLAN)
+        exp = fresh_experiment()
+        for index, setup in enumerate(SETUPS):
+            runner_mod._measure_task((
+                index, WORKLOAD, exp.size, exp.seed, setup, exp.verify, 1,
+                None, None, 0.0,
+            ))
+        parallel = run_sweep(jobs=3, plan=NOISY_PLAN)
+        assert serial.report.retries and serial.report.quarantined
+        assert parallel.report.to_json() == serial.report.to_json()
+
 
 class TestFaultRecovery:
     @pytest.mark.slow

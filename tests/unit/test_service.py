@@ -6,8 +6,9 @@ exactly; the study-queue WAL replays, survives torn tails, and compacts
 verifiably; ``repro fsck`` audits and repairs it; the lease pool grants,
 expires, steals, refills a freed agent before it reports, and dedups
 at-least-once dispatch into exactly-once accounting (by attempt and
-echoed task key, across studies too); both remote pools fail a link
-over on a well-framed result with a malformed outcome; the HTTP
+echoed task key, across studies too), and takes a failed-over link out
+of dispatch at once; a link fails over on a well-framed result with a
+malformed outcome, whether its agent dialed in or was dialed; the HTTP
 admission path rejects with typed errors and survives injected client
 disconnects; dial-in agent reconnects follow the pinned seeded-backoff
 schedule, and a ``--secret`` coordinator refuses unproven, replayed and
@@ -372,7 +373,8 @@ class TestWalFsck:
 
 class FakeRegistry:
     """Duck-typed :class:`repro.core.service.AgentRegistry` — the lease
-    pool only touches ``live_links``/``send``/``kill``/``inbox``."""
+    pool only touches ``live_links``/``send``/``kill``/``inbox`` and
+    ``expecting``."""
 
     def __init__(self, links=()):
         self.links = list(links)
@@ -383,6 +385,9 @@ class FakeRegistry:
 
     def live_links(self):
         return [link for link in self.links if not link.lost]
+
+    def expecting(self):
+        return True
 
     def send(self, link, kind, data, corrupt=False):
         if link.lost or id(link) in self.failing:
@@ -714,6 +719,27 @@ class TestLeasePool:
             supervisor.DEFAULT_HANG_TIMEOUT, 1.0
         )
 
+    def test_failed_over_link_leaves_dispatch_at_once(self):
+        """A link failed over by the pool takes no further task, though
+        the registry only schedules its close: the requeued setup waits
+        for another agent instead of going back to the dead link."""
+        link = make_link(1)
+        registry = FakeRegistry([link])
+        registry.kill = registry.killed.append  # the close is deferred
+        pool = make_pool(registry)
+        task = make_task(0)
+        pool.submit(task)
+        pool.poll(timeout=0.05)
+        message = dict(result_message(task), outcome=["ok", 0, 1])
+        registry.inbox.put(("result", link, message))
+        event, _ = poll_until(pool, "crash")
+        assert event.tasks == [task] and registry.killed == [link]
+        assert pool.poll(timeout=0.05) is None
+        frames = [data["dispatch"] for sent, kind, data, _ in registry.sent
+                  if sent is link and kind == "task"]
+        assert frames == [1]
+        assert pool.stats()["queue_depth"] == 1
+
     def test_stats_counts_leases(self):
         link = make_link(1)
         registry = FakeRegistry([link])
@@ -787,18 +813,20 @@ class TestMalformedResults:
 
     def check_agent_pool(self, task, outcome):
         with scripted_agent(outcome) as address:
-            pool = dist.AgentPool(
-                hosts=[address],
-                hello=dist.build_hello(None, 0.05, None, 2, False),
-                heartbeat_interval=0.05,
-                hang_timeout=30.0,
+            roster = svc.HostRoster(
+                [address], dist.build_hello(None, 0.05, None, 2, False),
                 connect_timeout=3.0,
+            )
+            pool = svc.LeasePool(
+                roster, lease_timeout=30.0, heartbeat_interval=0.05,
+                agentless_grace=float("inf"),
             )
             try:
                 pool.submit(task)
                 self.assert_failed_over(pool.poll(timeout=10.0), task, pool)
             finally:
                 pool.close()
+                roster.close()
 
     def check_lease_pool(self, task, outcome):
         link = make_link(1)
