@@ -183,8 +183,9 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
         "--hang-timeout", type=float, default=None,
         help=(
             "seconds of heartbeat silence before a busy worker is "
-            "declared hung and failed over (default: adapt to observed "
-            "task durations; parallel mode only)"
+            "declared hung and failed over (--jobs > 1); with --hosts, "
+            "the lease deadline after which a setup is requeued "
+            "(default: adapt to observed task or lease durations)"
         ),
     )
     parser.add_argument(

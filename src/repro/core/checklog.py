@@ -5,20 +5,24 @@ the service's study-queue WAL (:class:`repro.core.servicewal.ServiceWAL`)
 are one kind of file: a plain-JSON header line with a format marker and
 a running ``torn_recovered`` count, then one checksummed canonical-JSON
 record per line.  This module owns every rule about it — durable
-appends, dropping torn lines on load, the one verified rewrite, keep-
-policy compaction and fsck's classification — so an owner states only
-its :class:`LogSpec` and, at load time, its identity check.
+(group-committed) appends and their storage fault draws, dropping torn
+lines on load, the one verified rewrite, keep-policy compaction and
+fsck's classification — so an owner states only its :class:`LogSpec`
+and, at load time, its identity check.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import json
 import os
 from dataclasses import dataclass
-from typing import IO, Any, Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import (
+    IO, Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
-from repro import storageio
+from repro import faults, storageio
 from repro._errors import ArchiveCorruption, JournalWriteError
 from repro.core.session import canonical_json, record_checksum
 
@@ -71,13 +75,23 @@ def encode(
     data: Dict, *, index: Optional[int] = None, kind: Optional[str] = None
 ) -> Tuple[str, str]:
     """The line for one record (indexed when ``index`` is given, else of
-    ``kind``) and its checksum, computed once."""
-    checksum = record_checksum(data)
+    ``kind``) and its checksum.  The payload is serialized once: the
+    checksum hashes that text and the line is built around it, byte for
+    byte the ``canonical_json`` of the whole record (canonical JSON sorts
+    keys at every level, and the record's own keys sort as written)."""
+    payload = canonical_json(data)
+    checksum = hashlib.sha256(payload.encode()).hexdigest()
     if index is not None:
-        rec = {"index": index, "measurement": data, "sha256": checksum}
+        line = (
+            f'{{"index":{json.dumps(index)},"measurement":{payload},'
+            f'"sha256":"{checksum}"}}'
+        )
     else:
-        rec = {"kind": kind, "data": data, "sha256": checksum}
-    return canonical_json(rec), checksum
+        line = (
+            f'{{"data":{payload},"kind":{json.dumps(kind)},'
+            f'"sha256":"{checksum}"}}'
+        )
+    return line, checksum
 
 
 def parse_line(line: str, indexed: bool = True) -> Optional[Record]:
@@ -174,25 +188,78 @@ def audit(path: str, spec: LogSpec) -> Optional[Tuple[int, int]]:
     return contents.torn, len(contents.records) - len(kept)
 
 
-def append_line(
-    fh: IO,
-    line: str,
-    *,
-    path: str,
-    key: Optional[str] = None,
-    record: Optional[int] = None,
+class Line(NamedTuple):
+    """One line for :func:`append`: its text, the fault ``key`` that opts
+    it into the storage fault draws and names its ``journal_fsync_stall``
+    draw (without one the path does), and its record index for errors."""
+
+    text: str
+    key: Optional[str] = None
+    record: Optional[int] = None
+
+
+def append(
+    fh: IO, lines: Sequence[Line], *, path: str, tear: Optional[int] = None
 ) -> None:
-    """Append one line, fsynced before returning.  ``key`` opts into
-    ``disk_full`` and names the ``journal_fsync_stall`` draw (else the
-    path does); failures surface as :class:`JournalWriteError`."""
-    try:
+    """Append ``lines`` durably before returning, as one group commit:
+    one write, one flush, one fsync (a single line is a batch of one).
+
+    Each keyed line keeps its own fault draws, in order, as if it were
+    appended alone.  With a ``tear`` attempt, ``journal_torn_write``
+    syncs half the line and unwinds with :class:`~repro.faults.TornWrite`,
+    as a crash mid-append would, and ``journal_torn_tail`` flushes a
+    truncated line without syncing it (a power cut after the page-cache
+    write) and carries on as if it landed.  Then ``disk_full`` fails the
+    line with ENOSPC before any of its bytes land.  Every line before a
+    fault is durable when the fault surfaces.  Failures surface as
+    :class:`JournalWriteError` naming the first record not known durable.
+    """
+    pending: List[Line] = []
+    for line in lines:
+        key = line.key
+        if key is not None and tear is not None:
+            if faults.should_inject_at("journal_torn_write", key, tear):
+                commit(fh, pending, path)
+                fh.write(line.text[: len(line.text) // 2])
+                fh.flush()
+                os.fsync(fh.fileno())
+                raise faults.TornWrite(
+                    f"injected torn journal write at setup {line.record}"
+                )
+            if storageio.torn_tail_fires(key, tear):
+                commit(fh, pending, path)
+                pending = []
+                fh.write(line.text[: len(line.text) // 2] + "\n")
+                fh.flush()
+                continue
         if key is not None:
-            storageio.check_disk_full(key, path=path)
-        fh.write(line + "\n")
+            try:
+                storageio.check_disk_full(key, path=path)
+            except OSError as exc:
+                commit(fh, pending, path)
+                raise JournalWriteError(
+                    str(exc), path=path, record=line.record
+                ) from exc
+        pending.append(line)
+    commit(fh, pending, path)
+
+
+def commit(fh: IO, lines: Sequence[Line], path: str) -> None:
+    """Make ``lines`` durable with one write, one flush and one fsync.
+    Each line still pays its own ``journal_fsync_stall`` draw, so a
+    batch stalls exactly as long as its lines would one by one."""
+    if not lines:
+        return
+    try:
+        fh.write("".join(line.text + "\n" for line in lines))
         fh.flush()
-        storageio.fsync(fh, key or path)
+        for line in lines[1:]:
+            storageio.fsync_stall(line.key or path)
+        storageio.fsync(fh, lines[0].key or path)
     except OSError as exc:
-        raise JournalWriteError(str(exc), path=path, record=record) from exc
+        raise JournalWriteError(
+            str(exc), path=path, record=lines[0].record
+        ) from exc
 
 
 def open_append(
@@ -205,18 +272,14 @@ def open_append(
 ) -> IO:
     """Open a log for appending.  A new or empty file first gets its
     header: the format marker, ``note``, the running ``torn`` count and
-    the owner's ``identity`` fields (``key`` as in :func:`append_line`)."""
+    the owner's ``identity`` fields (``key`` as in :class:`Line`)."""
     fresh = not os.path.exists(path) or os.path.getsize(path) == 0
     fh = open(path, "a")
     if fresh:
         header = {"format": spec.format, "note": note, "torn_recovered": torn}
         try:
-            append_line(
-                fh,
-                json.dumps(dict(header, **identity), sort_keys=True),
-                path=path,
-                key=key,
-            )
+            line = json.dumps(dict(header, **identity), sort_keys=True)
+            append(fh, [Line(line, key)], path=path)
         except JournalWriteError:
             fh.close()
             raise

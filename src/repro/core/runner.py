@@ -62,7 +62,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro import faults, storageio, workloads
+from repro import faults, workloads
 from repro._errors import (
     ArchiveCorruption,
     JournalWriteError,
@@ -402,16 +402,23 @@ def sweep_id(
     return record_checksum(payload)
 
 
+#: One measurement record for :meth:`Journal.append`: the setup's index
+#: in the sweep, its measurement dict and its fault key (None: no
+#: storage fault draws).
+JournalEntry = Tuple[int, Dict, Optional[str]]
+
+
 class Journal:
     """Append-only JSONL checkpoint for one sweep.
 
     Line 1 is a header (format marker + sweep id); each further line is
     one measurement record — the v2 archive record schema (payload +
     per-record SHA-256) plus the setup's index in the sweep.  Records
-    are flushed and fsynced as they land, so a killed sweep loses at
-    most the record being written; a truncated trailing line is detected
-    by its checksum and dropped on resume.  The format, its recovery and
-    its compaction live in :mod:`repro.core.checklog`.
+    are flushed and fsynced as they land (a store probe's hits in one
+    group commit), so a killed sweep loses at most the records being
+    written; a truncated trailing line is detected by its checksum and
+    dropped on resume.  The format, its recovery and its compaction
+    live in :mod:`repro.core.checklog`.
     """
 
     def __init__(self, path: str, sweep: str) -> None:
@@ -466,12 +473,13 @@ class Journal:
             self.path, JOURNAL_LOG, note, self.recovered_torn, sweep=self.sweep
         )
 
-    def append(
-        self, index: int, data: Dict, fault_key: Optional[str] = None
-    ) -> None:
-        """Journal one completed measurement (durable before returning).
+    def append(self, records: Sequence[JournalEntry]) -> None:
+        """Journal completed measurements, ``(index, data, fault_key)``
+        each, durable before returning: one group commit, one fsync for
+        the batch (:func:`repro.core.checklog.append`).
 
-        ``fault_key`` opts the append into storage fault injection:
+        ``fault_key`` opts a record into storage fault injection, drawn
+        per record as if it were journaled alone:
 
         - ``journal_torn_write`` — half the record reaches disk and
           :class:`~repro.faults.TornWrite` unwinds the sweep, exactly
@@ -481,32 +489,20 @@ class Journal:
           write) and the sweep continues believing the record durable;
         - ``disk_full`` — the write fails with a deterministic ENOSPC
           before any bytes land, surfaced as
-          :class:`~repro._errors.JournalWriteError`.
+          :class:`~repro._errors.JournalWriteError`;
+        - ``journal_fsync_stall`` — the sync is late, never lost.
 
-        Both tear kinds draw on the journal's cumulative recovery count,
-        so a transient tear fires once and clears on the resumed run.
+        Every record before a fault is durable when it surfaces.  Both
+        tear kinds draw on the journal's cumulative recovery count, so
+        a transient tear fires once and clears on the resumed run.
         """
         assert self._fh is not None, "journal not opened for append"
-        line, _ = checklog.encode(data, index=index)
-        if fault_key is not None and faults.should_inject_at(
-            "journal_torn_write", fault_key, self.recovered_torn + 1
-        ):
-            self._fh.write(line[: len(line) // 2])
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
-            raise faults.TornWrite(
-                f"injected torn journal write at setup {index}"
-            )
-        if fault_key is not None and storageio.torn_tail_fires(
-            fault_key, self.recovered_torn + 1
-        ):
-            # Truncated line, flushed but never synced: the record is
-            # lost to a later crash, and nothing tells the sweep so.
-            self._fh.write(line[: len(line) // 2] + "\n")
-            self._fh.flush()
-            return
-        checklog.append_line(
-            self._fh, line, path=self.path, key=fault_key, record=index
+        lines = [
+            checklog.Line(checklog.encode(data, index=index)[0], key, index)
+            for index, data, key in records
+        ]
+        checklog.append(
+            self._fh, lines, path=self.path, tear=self.recovered_torn + 1
         )
 
     def append_aux(self, kind: str, data: Dict) -> None:
@@ -515,7 +511,7 @@ class Journal:
         across resumes and ignored by measurement loading."""
         assert self._fh is not None, "journal not opened for append"
         line, _ = checklog.encode(data, kind=kind)
-        checklog.append_line(self._fh, line, path=self.path)
+        checklog.append(self._fh, [checklog.Line(line)], path=self.path)
 
     def close(self) -> None:
         if self._fh is not None:
@@ -579,11 +575,9 @@ class ResilientJournal:
         """Open the disk journal; a write failure stops journalling."""
         self._write(self._disk.open_for_append, note=note)
 
-    def append(
-        self, index: int, data: Dict, fault_key: Optional[str] = None
-    ) -> None:
-        """Append a record unless a write failure stopped journalling."""
-        self._write(self._disk.append, index, data, fault_key=fault_key)
+    def append(self, records: Sequence[JournalEntry]) -> None:
+        """Append records unless a write failure stopped journalling."""
+        self._write(self._disk.append, records)
 
     def append_aux(self, kind: str, data: Dict) -> None:
         """Append an aux record unless journalling stopped."""
@@ -1106,6 +1100,8 @@ class SweepRunner:
         attempt and one measured setup, and the journal receives the
         same canonical record a cold run would append — so a warm
         report is byte-identical to the cold one that seeded the store.
+        The hits reach the journal as one group commit, and each is
+        reported finished only once that commit is durable.
         ``store.*`` tallies go only to the global obs registry (manifest
         territory), never into the sweep-scoped registry snapshotted
         into the report.  Because probing precedes pool construction,
@@ -1113,7 +1109,7 @@ class SweepRunner:
         """
         exp = self.experiment
         store = self.store
-        hits = 0
+        hits: List[int] = []
         for index, setup in enumerate(setups):
             if results[index] is not None:
                 # Resumed from the journal: publish to the store so the
@@ -1125,23 +1121,29 @@ class SweepRunner:
                 continue
             # Re-anchor on the caller's setup object (equality-compatible
             # with the run cache), exactly as journal resume does.
-            m = replace(m, setup=setup)
-            results[index] = m
-            hits += 1
+            results[index] = replace(m, setup=setup)
+            hits.append(index)
             report.measured += 1
             mreg.counter("sweep.attempts").inc()
             mreg.counter("sweep.setups_measured").inc()
-            if journal is not None:
-                key = faults.fault_key(
-                    exp.workload.name, exp.size, exp.seed, setup
+        if not hits:
+            return
+        if journal is not None:
+            wl, size, seed = exp.workload.name, exp.size, exp.seed
+            journal.append([
+                (
+                    index,
+                    measurement_to_dict(results[index]),
+                    faults.fault_key(wl, size, seed, setups[index]),
                 )
-                journal.append(index, measurement_to_dict(m), fault_key=key)
+                for index in hits
+            ])
+        for index in hits:
             obs_trace.instant("store_hit", category="store", index=index)
             self.progress.setup_finished(
-                index, setup.describe(), "measured", attempts=1
+                index, setups[index].describe(), "measured", attempts=1
             )
-        if hits:
-            self.progress.store_hits(hits, len(setups))
+        self.progress.store_hits(len(hits), len(setups))
 
     # -- dispatch ---------------------------------------------------------
 
@@ -1258,7 +1260,7 @@ class SweepRunner:
                     report.measured += 1
                     mreg.counter("sweep.setups_measured").inc()
                     if journal is not None:
-                        journal.append(index, data, fault_key=key_of(index))
+                        journal.append([(index, data, key_of(index))])
                     if self.store is not None:
                         self.store.put_measurement(exp, m)
                     obs_trace.instant(

@@ -647,16 +647,16 @@ class LeasePool(DispatchPool):
         link.in_flight[task.index] = task
 
     def _expire(self, index: int, reason: str) -> None:
-        """Requeue a leased setup at the same attempt (WAL first)."""
+        """Requeue a leased setup at the head of the queue, at the same
+        attempt (WAL first).  Its holders stay live — an expiry is no
+        partition — so no fail-over event is raised."""
         lease = self._leases.pop(index)
         self._on_requeue(index, lease.task.attempt, reason)
         obs_metrics.counter("service.requeues").inc()
         obs_metrics.counter("service.leases_expired").inc()
         for link in lease.links:
             link.in_flight.pop(index, None)
-        # A lease always has a holder: the last one lost drops the lease.
-        first = lease.links[0]
-        self._fail_over("hang", first.slot, [lease.task], first.label)
+        self._queue.appendleft(lease.task)
 
     def _scan_leases(self) -> None:
         now = time.monotonic()

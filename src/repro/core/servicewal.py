@@ -164,8 +164,8 @@ class ServiceWAL:
         line, checksum = checklog.encode(data, kind=kind)
         with self._lock:
             assert self._fh is not None, "WAL not opened for append"
-            checklog.append_line(
-                self._fh, line, path=self.path, key=f"wal:{kind}"
+            checklog.append(
+                self._fh, [checklog.Line(line, f"wal:{kind}")], path=self.path
             )
             self._appends[checksum] += 1
             attempt = self._appends[checksum]

@@ -16,7 +16,8 @@ fault lands on:
 - :func:`check_disk_full` fires **before** any bytes are written — an
   injected ``ENOSPC`` leaves the artifact exactly as it was;
 - :func:`fsync` injects **latency only** (``journal_fsync_stall``) —
-  the data is still synced, just late;
+  the data is still synced, just late (:func:`fsync_stall` draws it
+  for each further record a group commit's one sync makes durable);
 - :func:`maybe_bitflip` fires **after** a successful publish — the
   write succeeded, the media rotted later;
 - :func:`torn_tail_fires` lets the journal writer emulate a power cut
@@ -60,11 +61,17 @@ def fsync(fh: IO, key: str, attempt: int = 1) -> None:
     The stall sleeps :attr:`FaultPlan.fsync_stall_seconds` *before* the
     sync — modelling a slow disk, not a lost one; the data always lands.
     """
+    fsync_stall(key, attempt)
+    os.fsync(fh.fileno())
+
+
+def fsync_stall(key: str, attempt: int = 1) -> None:
+    """The ``journal_fsync_stall`` draw alone, for a record that a sync
+    drawn on another key makes durable (a group commit's other lines)."""
     plan = faults.active()
     if plan is not None and plan.fires("journal_fsync_stall", key, attempt):
         obs_metrics.counter("storage.fsync_stalls").inc()
         time.sleep(plan.fsync_stall_seconds)
-    os.fsync(fh.fileno())
 
 
 def torn_tail_fires(key: str, attempt: int = 1) -> bool:

@@ -95,7 +95,7 @@ def source_digest(sources: Mapping[str, str]) -> str:
 
 def measurement_key(
     workload: str,
-    sources: Mapping[str, str],
+    sources: str,
     size: str,
     seed: int,
     verify: bool,
@@ -105,8 +105,10 @@ def measurement_key(
     """The content address of one measured run.
 
     Everything a :class:`~repro.core.experiment.Measurement` depends on
-    is in the payload; two runs share a key exactly when the pipeline
-    guarantees them byte-identical results.  (Like the archive schema
+    is in the payload (``sources`` is the workload's
+    :func:`source_digest`, which a caller computes once per workload);
+    two runs share a key exactly when the pipeline guarantees them
+    byte-identical results.  (Like the archive schema
     and :func:`~repro.core.runner.sweep_id`, the setup's identity is its
     :func:`~repro.core.session.setup_to_dict` form — a custom
     ``env_base`` is the one field outside it; see docs/store.md.)
@@ -116,7 +118,7 @@ def measurement_key(
         "kind": "measurement",
         "engine": engine,
         "workload": workload,
-        "sources": source_digest(sources),
+        "sources": sources,
         "size": size,
         "seed": seed,
         "verify": verify,
@@ -127,13 +129,14 @@ def measurement_key(
 
 def artifact_key(
     workload: str,
-    sources: Mapping[str, str],
+    sources: str,
     setup: ExperimentalSetup,
     engine: str,
 ) -> str:
     """The content address of one compiled-and-linked executable.
 
-    Narrower than :func:`measurement_key` on purpose: only the setup
+    ``sources`` is the workload's :func:`source_digest`.  Narrower than
+    :func:`measurement_key` on purpose: only the setup
     fields that reach the toolchain participate, so one artifact serves
     every environment size and seed measured on top of it — the same
     sharing :meth:`ExperimentalSetup.build_key` gives the in-memory
@@ -145,7 +148,7 @@ def artifact_key(
         "kind": "artifact",
         "engine": engine,
         "workload": workload,
-        "sources": source_digest(sources),
+        "sources": sources,
         "build": {
             "compiler": compiler,
             "opt_level": opt_level,

@@ -28,7 +28,7 @@ import errno
 import io
 import json
 import pickle
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro._errors import ArchiveCorruption
 from repro.core.experiment import Measurement
@@ -54,6 +54,7 @@ from repro.store.keys import (
     artifact_key,
     engine_fingerprint,
     measurement_key,
+    source_digest,
 )
 
 
@@ -83,6 +84,8 @@ class MeasurementStore:
         #: sweep report records the loss instead of the sweep dying.
         self.write_disabled = False
         self.disabled_reason = ""
+        #: Source digest by workload name, with the sources it hashed.
+        self._sources: Dict[str, Tuple[Mapping[str, str], str]] = {}
 
     # -- keys --------------------------------------------------------------
 
@@ -90,7 +93,7 @@ class MeasurementStore:
         """The measurement key of ``setup`` under ``experiment``."""
         return measurement_key(
             experiment.workload.name,
-            dict(experiment.workload.sources),
+            self._source_digest(experiment.workload),
             experiment.size,
             experiment.seed,
             experiment.verify,
@@ -102,10 +105,19 @@ class MeasurementStore:
         """The artifact key of ``setup``'s build under ``experiment``."""
         return artifact_key(
             experiment.workload.name,
-            dict(experiment.workload.sources),
+            self._source_digest(experiment.workload),
             setup,
             self.engine,
         )
+
+    def _source_digest(self, workload) -> str:
+        """:func:`~repro.store.keys.source_digest` of ``workload``'s
+        sources, hashed once per sources mapping rather than per key."""
+        cached = self._sources.get(workload.name)
+        if cached is None or cached[0] is not workload.sources:
+            cached = (workload.sources, source_digest(workload.sources))
+            self._sources[workload.name] = cached
+        return cached[1]
 
     # -- measurements ------------------------------------------------------
 

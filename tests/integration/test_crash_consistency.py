@@ -34,7 +34,7 @@ def run_crashsim(args, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "barrier", ["journal:3", "store-put:2", "archive:1"]
+    "barrier", ["journal:3", "warm-journal:3", "store-put:2", "archive:1"]
 )
 def test_sigkill_at_barrier_then_resume_is_byte_identical(
     barrier, tmp_path

@@ -12,11 +12,13 @@ import errno
 import hashlib
 import os
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro import faults, storageio, workloads
 from repro.cli import main
-from repro.core import Experiment, ExperimentalSetup
+from repro.core import Experiment, ExperimentalSetup, checklog
 from repro.core.errors import ArchiveCorruption
 from repro.core.runner import (
     Journal,
@@ -26,6 +28,7 @@ from repro.core.runner import (
     sweep_id,
 )
 from repro.core.servicewal import ServiceWAL, compact_wal
+from repro.core.session import canonical_json, record_checksum
 from repro.fsck import DAMAGE, HYGIENE, fsck_paths, fsck_wal
 
 SPEC = {"workload": "sphinx3", "n": 2}
@@ -53,7 +56,7 @@ def write_journal(path, records=6):
     j = Journal(path, "sweep-pin")
     j.open_for_append(note="pin")
     for i in range(records):
-        j.append(i, {"v": i})
+        j.append([(i, {"v": i}, None)])
     j.close()
     return path
 
@@ -95,10 +98,10 @@ class TestFormatPin:
         path = str(tmp_path / "sweep.jsonl")
         j = Journal(path, "sweep-pin")
         j.open_for_append(note="pin")
-        j.append(0, {"v": 0, "name": "a"})
-        j.append(2, {"v": 2, "xs": [1, 2.5, None]})
+        j.append([(0, {"v": 0, "name": "a"}, None)])
+        j.append([(2, {"v": 2, "xs": [1, 2.5, None]}, None)])
         j.append_aux("metrics", {"n": 1})
-        j.append(0, {"v": 10, "name": "b"})
+        j.append([(0, {"v": 10, "name": "b"}, None)])
         j.close()
         assert sha256(path) == (
             "e3c5b654570b58cb0222ee9357fd2534eb3ce19ee39ce56095069b5a89a44b54"
@@ -142,6 +145,43 @@ class TestFormatPin:
         compact_wal(path)
         assert sha256(path) == (
             "29129945ac63401caef75d6b18e7f1737daa97d70e42a27d11d207ba3f4a8424"
+        )
+
+
+#: JSON documents as the logs carry them: nested objects and lists of
+#: scalars, any text (non-ASCII included) as keys and strings.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+payloads = st.dictionaries(st.text(), json_values, max_size=6)
+
+
+class TestEncode:
+    """``encode`` serializes each payload once and builds the line
+    around it; the bytes must stay those of canonical JSON over the
+    whole record, as every earlier log was written."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(payloads, st.integers())
+    def test_indexed_record_is_canonical_json(self, data, index):
+        checksum = record_checksum(data)
+        assert checklog.encode(data, index=index) == (
+            canonical_json(
+                {"index": index, "measurement": data, "sha256": checksum}
+            ),
+            checksum,
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(payloads, st.none() | st.text())
+    def test_kind_record_is_canonical_json(self, data, kind):
+        checksum = record_checksum(data)
+        assert checklog.encode(data, kind=kind) == (
+            canonical_json({"kind": kind, "data": data, "sha256": checksum}),
+            checksum,
         )
 
 

@@ -18,6 +18,7 @@ for them.
 """
 
 import contextlib
+import io
 import socket
 import threading
 import time
@@ -32,6 +33,7 @@ from repro.core.runner import RunnerConfig, SweepRunner
 from repro.core.supervisor import Task
 from repro.obs import manifest as obs_manifest
 from repro.obs import metrics as obs_metrics
+from repro.obs import progress as obs_progress
 from repro.obs import trace as obs_trace
 
 WORKLOAD = "sphinx3"
@@ -395,6 +397,33 @@ class TestDistributedSweep:
         assert result.report.to_json() == serial.report.to_json()
         assert expired.value - before >= 2
         assert sum(h["results"] for h in runner.hosts_served) == len(SETUPS)
+
+    @pytest.mark.slow
+    def test_expired_leases_are_not_partitions(self, agents):
+        """An expired lease's holder is live: the setup requeues with no
+        fail-over, so no partition is counted and no ``WORKER HANG``
+        line is printed for it."""
+        plan = faults.FaultPlan(
+            seed=3, lease_expire_rate=0.4, transient_fraction=1.0,
+            max_transient_attempts=1,
+        )
+        expired = obs_metrics.counter("service.leases_expired")
+        partitions = obs_metrics.counter("distributed.agent_partitions")
+        before = (expired.value, partitions.value)
+        lines = io.StringIO()
+        runner = SweepRunner(
+            fresh_experiment(),
+            RunnerConfig(
+                jobs=1, max_retries=2, hosts=hosts_arg(agents), **FAST_DIST
+            ),
+            fault_plan=plan,
+            sleep=lambda s: None,
+            progress=obs_progress.LineProgress(lines),
+        )
+        assert runner.run(SETUPS).report.complete
+        assert expired.value - before[0] >= 2
+        assert partitions.value == before[1]
+        assert "WORKER HANG" not in lines.getvalue()
 
     def test_bad_roster_fails_loudly(self):
         probe = socket.socket()

@@ -48,9 +48,9 @@ def make_journal(path, records=3, duplicates=0, torn_lines=0):
     j = Journal(str(path), "sweep-t")
     j.open_for_append()
     for i in range(records):
-        j.append(i, {"v": i})
+        j.append([(i, {"v": i}, None)])
     for i in range(duplicates):
-        j.append(i, {"v": i + 100})
+        j.append([(i, {"v": i + 100}, None)])
     j.close()
     if torn_lines:
         with open(path, "a") as fh:

@@ -250,9 +250,9 @@ class TestCheckpointResume:
         real_append = Journal.append
         appended = {"n": 0}
 
-        def killing_append(self, index, data, fault_key=None):
-            real_append(self, index, data, fault_key=fault_key)
-            appended["n"] += 1
+        def killing_append(self, records):
+            real_append(self, records)
+            appended["n"] += len(records)
             if appended["n"] >= kill_after:
                 raise KeyboardInterrupt("simulated ctrl-C mid-sweep")
 

@@ -438,6 +438,25 @@ def poll_until(pool, kind, timeout=5.0):
                          f"(saw {[e.kind for e in seen]})")
 
 
+def poll_until_requeued(pool, requeues, timeout=5.0):
+    """Poll the pool until it requeues a lease; the events it raised
+    meanwhile (fail loudly)."""
+    deadline = time.monotonic() + timeout
+    seen = []
+    while not requeues:
+        assert time.monotonic() < deadline, (
+            f"no requeue within {timeout}s (saw {[e.kind for e in seen]})")
+        event = pool.poll(timeout=0.1)
+        if event is not None:
+            seen.append(event)
+    return seen
+
+
+def queued_or_leased(pool):
+    """Every task the pool still owns: queued, then leased."""
+    return list(pool._queue) + [l.task for l in pool._leases.values()]
+
+
 class TestLeasePool:
     def test_grant_then_result(self):
         link = make_link(1)
@@ -484,8 +503,10 @@ class TestLeasePool:
                          on_requeue=lambda *a: requeues.append(a))
         task = make_task(0, attempt=1)
         pool.submit(task)
-        event, _ = poll_until(pool, "hang")
-        assert event.tasks == [task]
+        # An expiry is no partition: its holder stays live, so the task
+        # requeues without a fail-over event and stays the pool's.
+        assert poll_until_requeued(pool, requeues) == []
+        assert queued_or_leased(pool) == [task]
         assert requeues and requeues[0] == (0, 1, "lease_timeout")
         assert all(attempt == 1 for _, attempt, _ in requeues)
         assert obs_metrics.counter("service.leases_expired").value > before
@@ -547,8 +568,8 @@ class TestLeasePool:
                          on_requeue=lambda *a: requeues.append(a))
         task = make_task(0)
         pool.submit(task)
-        event, _ = poll_until(pool, "hang")
-        assert event.tasks == [task]
+        assert poll_until_requeued(pool, requeues) == []
+        assert queued_or_leased(pool) == [task]
         assert requeues == [(0, 1, "lease_expire")]
         # The transient cleared at dispatch 2: the re-lease holds, and
         # the result lands.

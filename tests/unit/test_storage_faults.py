@@ -29,6 +29,7 @@ from repro.core.runner import (
     sweep_id,
 )
 from repro.core.servicewal import ServiceWAL, compact_wal
+from repro.obs import metrics as obs_metrics
 from repro.store import open_store
 
 WORKLOAD = "sphinx3"
@@ -72,9 +73,9 @@ class TestTypedJournalErrors:
         def failing_fsync(fh, key, attempt=1):
             raise OSError(28, "No space left on device")
 
-        monkeypatch.setattr("repro.core.runner.storageio.fsync", failing_fsync)
+        monkeypatch.setattr("repro.storageio.fsync", failing_fsync)
         with pytest.raises(JournalWriteError) as excinfo:
-            j.append(3, {"x": 1})
+            j.append([(3, {"x": 1}, None)])
         assert excinfo.value.record == 3
         assert path in str(excinfo.value)
         assert "record 3" in str(excinfo.value)
@@ -117,8 +118,8 @@ class TestJournalDiskFull:
             seed=4, disk_full_rate=1.0, transient_fraction=0.0
         )
         with faults.injected_faults(plan):
-            rj.append(0, {"a": 1}, fault_key="k0")
-            rj.append(1, {"b": 2}, fault_key="k1")
+            rj.append([(0, {"a": 1}, "k0")])
+            rj.append([(1, {"b": 2}, "k1")])
         assert rj.degraded
         assert len(events) == 1 and events[0].record == 0
         assert rj.failure is events[0]
@@ -126,8 +127,8 @@ class TestJournalDiskFull:
         with open(path, "rb") as fh:
             before = fh.read()
         with faults.injected_faults(plan):
-            rj.append(2, {"c": 3}, fault_key="k2")
-        rj.append(3, {"d": 4}, fault_key="k3")
+            rj.append([(2, {"c": 3}, "k2")])
+        rj.append([(3, {"d": 4}, "k3")])
         rj.append_aux("metrics", {"e": 5})
         with open(path, "rb") as fh:
             assert fh.read() == before
@@ -190,12 +191,126 @@ class TestJournalTornTail:
             max_transient_attempts=1,
         )
         with faults.injected_faults(plan):
-            j.append(0, {"a": 1}, fault_key="k")  # torn (attempt 1)
-        j.append(1, {"b": 2})  # no fault key: always durable
+            j.append([(0, {"a": 1}, "k")])  # torn (attempt 1)
+        j.append([(1, {"b": 2}, None)])  # no fault key: always durable
         j.close()
         reloaded = Journal(path, "s")
         assert reloaded.load() == {1: {"b": 2}}
         assert reloaded.recovered_torn == 1
+
+
+class TestWarmGroupCommit:
+    """A warm sweep journals its store hits as one group commit; each
+    record keeps its own fault draws, so the file bytes, the fault
+    schedule and the ``storage.*`` counters are the record-by-record
+    path's."""
+
+    def _filled_store(self, tmp_path):
+        root = str(tmp_path / "st")
+        run_sweep(store=open_store(root))  # fault-free
+        return root
+
+    def _fires(self, plan, kind):
+        exp = fresh_experiment()
+        return [
+            i for i, s in enumerate(SETUPS)
+            if plan.fires(
+                kind, faults.fault_key(WORKLOAD, exp.size, exp.seed, s), 1
+            )
+        ]
+
+    def test_torn_write_mid_batch_keeps_the_hits_before_it(self, tmp_path):
+        root = self._filled_store(tmp_path)
+        plan = faults.FaultPlan(
+            seed=5, torn_write_rate=0.5, transient_fraction=1.0,
+            max_transient_attempts=1,
+        )
+        k = 2
+        assert self._fires(plan, "journal_torn_write") == [k]
+        path = str(tmp_path / "warm.jsonl")
+        with pytest.raises(faults.TornWrite):
+            run_sweep(plan=plan, journal=path, store=open_store(root))
+        exp = fresh_experiment()
+        probe = Journal(path, sweep_id(WORKLOAD, exp.size, exp.seed, SETUPS))
+        assert probe.load().keys() == set(range(k))
+        assert probe.recovered_torn == 1  # the half record, dropped
+        resumed = run_sweep(plan=plan, journal=path, store=open_store(root))
+        assert resumed.report.resumed == k
+        assert resumed.report.measured == len(SETUPS) - k
+        # Verification re-run: from this journal and from an
+        # uninterrupted one every setup resumes, to the same bytes.
+        clean = str(tmp_path / "clean.jsonl")
+        run_sweep(journal=clean, store=open_store(root))
+        assert (
+            run_sweep(plan=plan, journal=path).report.to_json()
+            == run_sweep(journal=clean).report.to_json()
+        )
+
+    @pytest.mark.parametrize(
+        "plan, kind, fired",
+        [
+            (
+                faults.FaultPlan(seed=4, torn_tail_rate=0.5,
+                                 transient_fraction=1.0,
+                                 max_transient_attempts=1),
+                "journal_torn_tail", [2],
+            ),
+            (
+                faults.FaultPlan(seed=4, disk_full_rate=0.5,
+                                 transient_fraction=1.0,
+                                 max_transient_attempts=1),
+                "disk_full", [2, 3],
+            ),
+            (
+                faults.FaultPlan(seed=5, fsync_stall_rate=1.0,
+                                 fsync_stall_seconds=0.001,
+                                 transient_fraction=0.0),
+                "journal_fsync_stall", [0, 1, 2, 3],
+            ),
+        ],
+        ids=["torn_tail", "disk_full", "fsync_stall"],
+    )
+    def test_warm_journal_matches_cold_under_storage_faults(
+        self, tmp_path, plan, kind, fired
+    ):
+        # Mid-batch faults: hits before and after the one that fires.
+        assert self._fires(plan, kind) == fired
+        root = self._filled_store(tmp_path)
+        cold, warm = str(tmp_path / "cold.jsonl"), str(tmp_path / "warm.jsonl")
+        with obs_metrics.scoped() as cold_reg:
+            run_sweep(plan=plan, journal=cold)  # record by record
+        with obs_metrics.scoped() as warm_reg:
+            run_sweep(plan=plan, journal=warm, store=open_store(root))
+        assert warm_reg.counters()["store.hits"] == len(SETUPS)
+        with open(cold, "rb") as a, open(warm, "rb") as b:
+            assert a.read() == b.read()
+
+        def storage(reg):
+            return {
+                name: value for name, value in reg.counters().items()
+                if name.startswith("storage.")
+            }
+
+        assert storage(cold_reg) and storage(warm_reg) == storage(cold_reg)
+
+    def test_warm_sweep_makes_three_journal_fsyncs(
+        self, tmp_path, monkeypatch
+    ):
+        root = self._filled_store(tmp_path)
+        path = str(tmp_path / "warm.jsonl")
+        synced = []
+        real_fsync = os.fsync
+
+        def recording_fsync(fd):
+            synced.append(os.fstat(fd).st_ino)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        result = run_sweep(journal=path, store=open_store(root))
+        assert result.report.measured == len(SETUPS)
+        # The header, the hits' one group commit and the closing metrics
+        # record: 3, where a record-by-record journal makes n + 2.
+        assert synced.count(os.stat(path).st_ino) == 3
 
 
 class TestStoreDiskFull:
@@ -304,9 +419,9 @@ class TestCompactionVsStall:
         j = Journal(path, "s")
         j.open_for_append()
         for i in range(3):
-            j.append(i, {"v": i})
+            j.append([(i, {"v": i}, None)])
         for i in range(3):  # stale duplicates
-            j.append(i, {"v": i + 10})
+            j.append([(i, {"v": i + 10}, None)])
         j.close()
         return path
 
@@ -337,7 +452,7 @@ class TestCompactionVsStall:
             os.ftruncate(fh.fileno(), os.fstat(fh.fileno()).st_size // 2)
 
         monkeypatch.setattr(
-            "repro.core.runner.storageio.fsync", torn_fsync
+            "repro.storageio.fsync", torn_fsync
         )
         with pytest.raises(ArchiveCorruption, match="verification"):
             self.compact(path)

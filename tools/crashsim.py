@@ -12,8 +12,15 @@ recovered state is *byte-identical* to what an uninterrupted run
 produces:
 
 ``journal:N``
-    SIGKILL immediately after the Nth journal record is durably
-    appended — the classic "power cut between checkpoints".
+    SIGKILL immediately after the sync that makes the Nth journal
+    record durable — the classic "power cut between checkpoints".
+``warm-journal:N``
+    The journal barrier in a warm cycle: an uninterrupted run fills a
+    store first, and every phase then starts from a copy of it and a
+    fresh journal, so all records arrive in the store probe's one group
+    commit and the barrier lands inside that batch.  The reference's
+    warm journal must also be byte-identical to the filling run's cold
+    one.
 ``store-put:N``
     On the Nth content-addressed store put, leave a torn ``.tmp-`` file
     in the shard directory and SIGKILL *before* the atomic rename — a
@@ -23,15 +30,19 @@ produces:
     temp file and SIGKILL before ``os.replace`` — readers must keep
     seeing the old state, and a re-run must converge.
 ``queue:N``
-    SIGKILL a ``repro serve`` coordinator immediately after the Nth
-    *lease* record lands durably in its study-queue WAL — mid-study,
-    with agents registered and work in flight.  The harness restarts
-    the service on the same workdir (its dial-in agents re-register on
-    their own), resubmits the same spec, and asserts the finished
-    report is byte-identical to a serial ``repro study`` — plus that
-    the WAL holds exactly one ``complete`` record per setup (nothing
-    double-counted, nothing dropped) and that ``repro fsck`` signs off
-    on it.
+    SIGKILL a ``repro serve`` coordinator immediately after the sync
+    that makes the Nth *lease* record durable in its study-queue WAL —
+    mid-study, with agents registered and work in flight.  The harness
+    restarts the service on the same workdir (its dial-in agents
+    re-register on their own), resubmits the same spec, and asserts the
+    finished report is byte-identical to a serial ``repro study`` —
+    plus that the WAL holds exactly one ``complete`` record per setup
+    (nothing double-counted, nothing dropped) and that ``repro fsck``
+    signs off on it.
+
+The ``journal``, ``warm-journal`` and ``queue`` barriers share one hook:
+:func:`repro.core.checklog.commit`, where every journal and WAL record
+becomes durable, counts the records each sync makes durable.
 
 Byte-identity cannot be asserted on the *resumed* report directly (it
 legitimately says "resumed" where the reference says "measured"), so
@@ -55,6 +66,7 @@ stays clean and byte-identical to the serial reference.
 Usage (CI runs ``all``)::
 
     python tools/crashsim.py cycle --barrier journal:3 --workdir /tmp/cs
+    python tools/crashsim.py cycle --barrier warm-journal:3 --workdir /tmp/cs
     python tools/crashsim.py sigstop --workdir /tmp/cs
     python tools/crashsim.py all --workdir /tmp/cs
 
@@ -68,6 +80,7 @@ import argparse
 import glob
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -95,7 +108,7 @@ ARCHIVE_SPEC = "archive sphinx3 @RUN@/arch.json"
 #: comparison honest).
 QUEUE_STUDY = "sphinx3 env --env-start 100 --env-stop 228 --env-step 32"
 
-BARRIER_KINDS = ("journal", "store-put", "archive", "queue")
+BARRIER_KINDS = ("journal", "warm-journal", "store-put", "archive", "queue")
 
 
 def parse_barrier(text: str) -> Tuple[str, int]:
@@ -132,18 +145,27 @@ def _torn_tmp(directory: str, prefix: str, content: str) -> None:
 def install_barrier(kind: str, count: int) -> None:
     """Monkeypatch the product so the Nth event of ``kind`` is a crash."""
     calls = {"n": 0}
-    if kind == "journal":
-        from repro.core import runner
+    if kind in ("journal", "warm-journal", "queue"):
+        from repro.core import checklog
 
-        orig_append = runner.Journal.append
+        orig_commit = checklog.commit
 
-        def journal_append(self, index, data, fault_key=None):
-            orig_append(self, index, data, fault_key)
-            calls["n"] += 1
+        def counted(text: str) -> bool:
+            record = json.loads(text)
+            if kind == "queue":
+                return record.get("kind") == "lease"
+            return "index" in record  # a measurement record
+
+        def commit(fh, lines, path):
+            # The one place a journal or WAL record becomes durable:
+            # count what this sync made durable (a store probe's group
+            # commit holds several records), then die.
+            orig_commit(fh, lines, path)
+            calls["n"] += sum(1 for line in lines if counted(line.text))
             if calls["n"] >= count:
                 _die()
 
-        runner.Journal.append = journal_append
+        checklog.commit = commit
     elif kind == "store-put":
         from repro.store import backend as backend_mod
 
@@ -158,19 +180,6 @@ def install_barrier(kind: str, count: int) -> None:
             return orig_put(self, key, payload)
 
         backend_mod.DiskBackend.put = disk_put
-    elif kind == "queue":
-        from repro.core import servicewal
-
-        orig_append = servicewal.ServiceWAL.append
-
-        def wal_append(self, record_kind, data):
-            orig_append(self, record_kind, data)
-            if record_kind == "lease":
-                calls["n"] += 1
-                if calls["n"] >= count:
-                    _die()
-
-        servicewal.ServiceWAL.append = wal_append
     else:  # archive
         from repro import storageio
 
@@ -295,8 +304,22 @@ def run_cycle(barrier: str, workdir: str, spec: str) -> None:
     tag = barrier.replace(":", "-")
     ref_dir = os.path.join(workdir, f"{tag}-ref")
     crash_dir = os.path.join(workdir, f"{tag}-crash")
+    if kind == "warm-journal":
+        fill_dir = os.path.join(workdir, f"{tag}-fill")
+        _run(_repro(spec, fill_dir))
+        for run_dir in (ref_dir, crash_dir):
+            shutil.copytree(
+                os.path.join(fill_dir, "st"), os.path.join(run_dir, "st")
+            )
 
     ref = _run(_repro(spec, ref_dir))
+    if kind == "warm-journal":
+        _assert(
+            _read(os.path.join(ref_dir, "j.jsonl"))
+            == _read(os.path.join(fill_dir, "j.jsonl")),
+            "a warm sweep's journal differs from the cold one that "
+            "filled its store",
+        )
     crash = _run(_crashing(barrier, spec, crash_dir), check=None)
     _assert(
         crash.returncode in (-signal.SIGKILL, 128 + signal.SIGKILL),
@@ -314,6 +337,13 @@ def run_cycle(barrier: str, workdir: str, spec: str) -> None:
         f"resume after {barrier} re-measured everything (journal lost?)",
     )
     _assert(not report["degraded"], f"resume after {barrier} degraded")
+    if kind == "warm-journal":
+        # The barrier fired after the store hits' one sync: every hit
+        # was durable, so the resume measures nothing.
+        _assert(
+            report["resumed"] == report["requested"],
+            f"resume after {barrier} lost part of the store-hit batch",
+        )
 
     # Verification re-run: both journals now hold the complete sweep, so
     # re-running each resumes 100% — those reports must match to the byte.
@@ -644,7 +674,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
         ]
     else:
-        barriers = ["journal:3", "store-put:2", "archive:1", "queue:3"]
+        barriers = [
+            "journal:3", "warm-journal:3", "store-put:2", "archive:1",
+            "queue:3",
+        ]
         checks = [
             (b, lambda b=b: run_cycle(b, workdir, args.spec))
             for b in barriers
