@@ -8,7 +8,7 @@ order is one draw from a spread.
 
 from repro.core.bias import link_order_study
 from repro.core.report import render_violin
-from repro.core.stats import kernel_density
+from repro.stats import kernel_density
 
 from common import BASE, TREATMENT, experiment, publish
 

@@ -36,22 +36,24 @@ from repro.arch import (
 )
 from repro.core import (
     BiasReport,
-    ConfidenceInterval,
     Experiment,
     ExperimentalSetup,
     Measurement,
     RandomizedEvaluation,
     StudyResult,
-    SummaryStats,
     VerificationError,
     detect_bias,
     env_size_study,
     evaluate_with_randomization,
-    geometric_mean,
     link_order_study,
-    t_confidence_interval,
 )
 from repro.os import Environment
+from repro.stats import (
+    ConfidenceInterval,
+    SummaryStats,
+    geometric_mean,
+    t_confidence_interval,
+)
 from repro.toolchain import (
     GCC,
     ICC,

@@ -33,13 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.core.stats import geometric_mean, skewness
-
-#: |skewness| past which a normal-theory interval alone cannot carry a
-#: conclusion.  Mirrors :data:`repro.stats.speedup.SKEW_THRESHOLD` (kept
-#: numerically equal; imported lazily in checks to avoid a hard layer
-#: dependency at import time).
-SKEW_THRESHOLD = 1.0
+from repro.stats import SKEW_THRESHOLD, geometric_mean, skewness
 
 #: Relative tolerance when recomputing aggregates from raw samples.
 AGGREGATE_RTOL = 1e-6
@@ -328,7 +322,7 @@ def check_ratio_aggregation(
                 ),
                 advice=(
                     "aggregate ratios with the geometric mean "
-                    "(repro.core.stats.geometric_mean)"
+                    "(repro.stats.geometric_mean)"
                 ),
             )
         )
@@ -356,7 +350,7 @@ def check_ratio_aggregation(
                     ),
                     advice=(
                         "recompute the aggregate with "
-                        "repro.core.stats.geometric_mean"
+                        "repro.stats.geometric_mean"
                     ),
                 )
             )

@@ -15,9 +15,11 @@
 - :mod:`~repro.core.distributed` — multi-host sweeps: TCP sweep agents
   and the coordinator pool that dispatches to them (same supervision
   guarantees, same report bytes; see docs/distributed.md),
-- :mod:`~repro.core.stats` — intervals, summaries, violin densities,
 - :mod:`~repro.core.survey` — the 133-paper literature survey analysis,
 - :mod:`~repro.core.report` — plain-text table/figure rendering.
+
+The statistics these protocols report (intervals, summaries, violin
+densities, rank tests) live in :mod:`repro.stats`.
 """
 
 from repro.core.bias import (
@@ -66,15 +68,6 @@ from repro.core.runner import (
     journal_needs_compaction,
 )
 from repro.core.setup import ExperimentalSetup
-from repro.core.stats import (
-    ConfidenceInterval,
-    SummaryStats,
-    ViolinSummary,
-    bootstrap_confidence_interval,
-    geometric_mean,
-    kernel_density,
-    t_confidence_interval,
-)
 
 __all__ = [
     "ArchiveCorruption",
@@ -100,25 +93,18 @@ __all__ = [
     "RepeatedMeasurement",
     "bias_vs_noise_demo",
     "repeated_measurement",
-    "ConfidenceInterval",
     "Experiment",
     "ExperimentalSetup",
     "Measurement",
     "RandomizedEvaluation",
     "StudyResult",
-    "SummaryStats",
     "VerificationError",
-    "ViolinSummary",
-    "bootstrap_confidence_interval",
     "detect_bias",
     "env_size_study",
     "evaluate_with_randomization",
-    "geometric_mean",
     "interval_vs_setup_count",
-    "kernel_density",
     "link_order_study",
     "random_setups",
     "sample_link_orders",
     "suite_bias_table",
-    "t_confidence_interval",
 ]

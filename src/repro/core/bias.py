@@ -27,7 +27,7 @@ from repro.core.experiment import Experiment, Measurement
 from repro.core.report import render_series
 from repro.core.session import record_checksum
 from repro.core.setup import ExperimentalSetup
-from repro.core.stats import SummaryStats
+from repro.stats import SummaryStats
 from repro.workloads.base import lcg_stream
 
 

@@ -24,7 +24,7 @@ from typing import List, Sequence, Tuple
 
 from repro.core.experiment import Experiment
 from repro.core.setup import ExperimentalSetup
-from repro.core.stats import ConfidenceInterval, t_confidence_interval
+from repro.stats import ConfidenceInterval, t_confidence_interval
 from repro.workloads.base import lcg_stream
 
 

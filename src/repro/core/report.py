@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.stats import ViolinSummary
+from repro.stats import ViolinSummary
 
 
 def render_table(
@@ -111,9 +111,9 @@ def render_interval_row(
 ) -> str:
     """One `(----*----)` confidence-interval row on a fixed scale.
 
-    ``method`` names the procedure behind the interval ("t",
-    "bootstrap", "BCa") so the rendered table is self-describing; omit
-    it only for rows whose method is stated elsewhere in the report.
+    ``method`` names the procedure behind the interval ("t" or "BCa")
+    so the rendered table is self-describing; omit it only for rows
+    whose method is stated elsewhere in the report.
     """
     smin, smax = scale
     span = smax - smin or 1.0

@@ -164,7 +164,6 @@ class RunnerConfig:
         journal_max_records: auto-compact the checkpoint journal after a
             completed sweep when it holds more than this many
             (measurement + aux) records; None disables.
-        journal_max_bytes: likewise, by file size; None disables.
         hosts: ``"host1:port1,host2:port2"`` roster of remote sweep
             agents (``repro agent --listen``); when set the sweep is
             leased to them over TCP and ``jobs`` is ignored (each
@@ -200,7 +199,6 @@ class RunnerConfig:
     hang_timeout: Optional[float] = None
     max_respawns: int = 8
     journal_max_records: Optional[int] = None
-    journal_max_bytes: Optional[int] = None
     hosts: Optional[str] = None
     connect_timeout: float = 10.0
     secret: Optional[str] = None
@@ -230,10 +228,11 @@ class RunnerConfig:
             )
         if self.max_respawns < 0:
             raise ValueError("max_respawns must be >= 0")
-        for name in ("journal_max_records", "journal_max_bytes"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be >= 1 or None")
+        if (
+            self.journal_max_records is not None
+            and self.journal_max_records < 1
+        ):
+            raise ValueError("journal_max_records must be >= 1 or None")
         if self.trace_sample < 1:
             raise ValueError(
                 f"trace_sample must be >= 1, got {self.trace_sample}"
@@ -641,20 +640,15 @@ class CompactionStats:
 
 
 def journal_needs_compaction(
-    path: str,
-    max_records: Optional[int] = None,
-    max_bytes: Optional[int] = None,
+    path: str, max_records: Optional[int] = None
 ) -> bool:
-    """Does the journal at ``path`` exceed either growth threshold?"""
-    if not os.path.exists(path):
+    """Does the journal at ``path`` hold more than ``max_records``
+    records?  Never when ``max_records`` is None."""
+    if max_records is None or not os.path.exists(path):
         return False
-    if max_bytes is not None and os.path.getsize(path) > max_bytes:
-        return True
-    if max_records is not None:
-        with open(path) as fh:
-            lines = sum(1 for line in fh if line.strip())
-        return lines - 1 > max_records  # header excluded
-    return False
+    with open(path) as fh:
+        lines = sum(1 for line in fh if line.strip())
+    return lines - 1 > max_records  # header excluded
 
 
 def _keep_latest(records: List[checklog.Record]) -> List[checklog.Record]:
@@ -993,9 +987,7 @@ class SweepRunner:
 
             if journal is not None and not journal.degraded and (
                 journal_needs_compaction(
-                    journal.path,
-                    self.config.journal_max_records,
-                    self.config.journal_max_bytes,
+                    journal.path, self.config.journal_max_records
                 )
             ):
                 try:

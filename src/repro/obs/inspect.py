@@ -429,7 +429,7 @@ def validate_journal(data: Dict[str, Any]) -> List[str]:
     — resume drops them — but a clean journal has neither.
     """
     from repro.core.checklog import parse_line
-    from repro.core.runner import JOURNAL_FORMAT
+    from repro.core.runner import JOURNAL_FORMAT, JOURNAL_LOG
 
     j = data.get("journal") or {}
     header = j.get("header") or {}
@@ -441,30 +441,28 @@ def validate_journal(data: Dict[str, Any]) -> List[str]:
         )
     if not isinstance(header.get("sweep"), str) or not header.get("sweep"):
         errors.append("journal header lacks a sweep id")
-    seen_records: set = set()
-    seen_aux: set = set()
-    for lineno, line in enumerate(j.get("lines") or [], start=2):
-        if not line.strip():
-            continue
-        rec = parse_line(line)
+    parsed = [
+        (lineno, parse_line(line))
+        for lineno, line in enumerate(j.get("lines") or [], start=2)
+        if line.strip()
+    ]
+    # A stale line is one compaction drops: the journal's own keep rule.
+    valid = [r for __, r in parsed if r is not None]
+    kept = {id(r) for r in JOURNAL_LOG.keep(valid)}
+    for lineno, rec in parsed:
         if rec is None:
             errors.append(
                 f"line {lineno}: torn or corrupt record (dropped on resume)"
             )
-        elif rec.index is not None:
-            if rec.index in seen_records:
-                errors.append(
-                    f"line {lineno}: stale duplicate record for setup "
-                    f"{rec.index} (run `repro journal compact`)"
-                )
-            seen_records.add(rec.index)
-        else:
-            if rec.kind in seen_aux:
-                errors.append(
-                    f"line {lineno}: stale duplicate {rec.kind!r} aux "
-                    "record (run `repro journal compact`)"
-                )
-            seen_aux.add(rec.kind)
+        elif id(rec) not in kept:
+            what = (
+                f"record for setup {rec.index}" if rec.index is not None
+                else f"{rec.kind!r} aux record"
+            )
+            errors.append(
+                f"line {lineno}: stale duplicate {what} "
+                "(run `repro journal compact`)"
+            )
     return errors
 
 

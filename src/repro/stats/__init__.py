@@ -1,9 +1,10 @@
-"""repro.stats — the full statistical-inference layer.
+"""repro.stats — the lab's one statistics package.
 
-:mod:`repro.core.stats` holds the primitives (summaries, Student-t and
-percentile-bootstrap intervals, distribution functions); this package
-adds the machinery a defensible performance conclusion needs on top:
+Everything a defensible performance conclusion needs, in layers:
 
+- :mod:`repro.stats.base` — the primitives: distribution functions,
+  summaries, the Student-t interval, skewness, the geometric mean and
+  violin densities,
 - :mod:`repro.stats.inference` — Wilcoxon signed-rank and Mann-Whitney
   U tests, rank-biserial / Cliff's delta effect sizes, Hodges–Lehmann
   location estimates,
@@ -20,6 +21,21 @@ Everything is dependency-free and deterministic (LCG resampling, no
 method choices and operator recipes.
 """
 
+from repro.stats.base import (
+    ConfidenceInterval,
+    SummaryStats,
+    ViolinSummary,
+    geometric_mean,
+    incomplete_beta,
+    kernel_density,
+    normal_cdf,
+    normal_ppf,
+    quantile,
+    skewness,
+    t_cdf,
+    t_confidence_interval,
+    t_ppf,
+)
 from repro.stats.bootstrap import bca_confidence_interval, jackknife_acceleration
 from repro.stats.inference import (
     RankTestResult,
@@ -43,20 +59,33 @@ from repro.stats.speedup import (
 )
 
 __all__ = [
+    "ConfidenceInterval",
     "RankTestResult",
     "SKEW_THRESHOLD",
     "SampleSizeEstimate",
     "SpeedupAnalysis",
+    "SummaryStats",
+    "ViolinSummary",
     "analyze_speedups",
     "bca_confidence_interval",
     "cliffs_delta",
     "convergence_trajectory",
+    "geometric_mean",
     "hodges_lehmann",
+    "incomplete_beta",
     "jackknife_acceleration",
+    "kernel_density",
     "mann_whitney_u",
+    "normal_cdf",
+    "normal_ppf",
     "paired_speedup_test",
+    "quantile",
     "rank_biserial",
     "rankdata",
     "required_setups",
+    "skewness",
+    "t_cdf",
+    "t_confidence_interval",
+    "t_ppf",
     "wilcoxon_signed_rank",
 ]

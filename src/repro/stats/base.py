@@ -1,18 +1,14 @@
-"""Statistics for performance evaluation.
+"""Statistical primitives: distributions, summaries, the t interval.
 
-Implements the statistical machinery the paper's "avoiding measurement
-bias" section calls for: summary statistics, Student-t confidence
-intervals over randomized setups, bootstrap intervals, and kernel-density
-summaries (the data behind the paper's violin plots).
+The base layer of :mod:`repro.stats`: summary statistics, Student-t
+confidence intervals over randomized setups, skewness, the geometric
+mean, and kernel-density summaries (the data behind the paper's violin
+plots).  The rest of the package (rank tests, BCa intervals, sample
+sizes, the speedup work-up) builds on these.
 
 Distribution functions are implemented from first principles (incomplete
 beta continued fraction, bisection inversion) so the library has no
 third-party dependencies; the test suite cross-checks them against scipy.
-
-This module is the *base* layer; the full inference layer — the
-nonparametric tests, BCa bootstrap intervals, effect sizes, and
-required-sample-size estimation Touati et al. call for — lives in
-:mod:`repro.stats` and builds on the primitives here.
 
 Degenerate samples (fewer than two observations, zero variance) raise a
 typed :class:`~repro.core.errors.StatsError` rather than producing a
@@ -25,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 from repro._errors import StatsError
 
@@ -207,10 +203,10 @@ def quantile(sorted_values: Sequence[float], q: float) -> float:
 class ConfidenceInterval:
     """A two-sided confidence interval.
 
-    ``method`` names the procedure that produced the interval ("t",
-    "bootstrap", "BCa", ...), so every report row built from one is
-    self-describing — an auditor reading an archived table can tell a
-    normal-theory interval from a distribution-free one.
+    ``method`` names the procedure that produced the interval ("t" or
+    "BCa"), so every report row built from one is self-describing — an
+    auditor reading an archived table can tell a normal-theory interval
+    from a distribution-free one.
     """
 
     lo: float
@@ -278,61 +274,6 @@ def t_confidence_interval(
         level=level,
         mean=stats.mean,
         method="t",
-    )
-
-
-def _bootstrap_estimates(
-    values: Sequence[float],
-    stat: Callable[[Sequence[float]], float],
-    n_resamples: int,
-    seed: int,
-) -> List[float]:
-    """``stat`` of ``n_resamples`` resamples of ``values``, sorted.
-
-    Each resample draws ``len(values)`` indices from the suite's LCG
-    seeded with ``seed + 7919``, so every bootstrap interval built on
-    one seed sees the same draws.  Raises :class:`StatsError` unless
-    ``n_resamples`` is at least 1.
-    """
-    if n_resamples < 1:
-        raise StatsError(f"n_resamples must be at least 1, got {n_resamples}")
-    from repro.workloads.base import lcg_stream
-
-    rng = lcg_stream(seed + 7919)
-    n = len(values)
-    estimates: List[float] = []
-    for __ in range(n_resamples):
-        sample = [values[rng() % n] for __ in range(n)]
-        estimates.append(stat(sample))
-    estimates.sort()
-    return estimates
-
-
-def bootstrap_confidence_interval(
-    values: Sequence[float],
-    level: float = 0.95,
-    n_resamples: int = 2000,
-    statistic: Optional[Callable[[Sequence[float]], float]] = None,
-    seed: int = 0,
-) -> ConfidenceInterval:
-    """Percentile-bootstrap CI (default statistic: mean).
-
-    Deterministic given ``seed`` — uses the suite's LCG, not
-    :mod:`random`.  Raises :class:`StatsError` on degenerate samples
-    (n < 2, zero variance), out-of-range levels and ``n_resamples < 1``,
-    like :func:`t_confidence_interval`.  For a skew-corrected interval see
-    :func:`repro.stats.bca_confidence_interval`.
-    """
-    check_sample(values, level, "bootstrap interval")
-    stat = statistic if statistic is not None else (lambda xs: sum(xs) / len(xs))
-    estimates = _bootstrap_estimates(values, stat, n_resamples, seed)
-    alpha = (1.0 - level) / 2.0
-    return ConfidenceInterval(
-        lo=quantile(estimates, alpha),
-        hi=quantile(estimates, 1.0 - alpha),
-        level=level,
-        mean=stat(list(values)),
-        method="bootstrap",
     )
 
 

@@ -1,33 +1,56 @@
 """Bias-corrected and accelerated (BCa) bootstrap intervals.
 
-The percentile bootstrap in :mod:`repro.core.stats` is already
-distribution-free, but it inherits two finite-sample defects: the
-interval is biased when the bootstrap distribution is not centred on
-the estimate, and it ignores how fast the statistic's variance changes
-with the data (skew).  Efron's BCa interval corrects both — a bias
-correction ``z0`` read off the bootstrap distribution and an
-acceleration ``a`` estimated by the jackknife — and is the interval
-Touati (2009) recommends for speedup reporting.
+A plain percentile bootstrap is distribution-free, but it inherits two
+finite-sample defects: the interval is biased when the bootstrap
+distribution is not centred on the estimate, and it ignores how fast
+the statistic's variance changes with the data (skew).  Efron's BCa
+interval corrects both — a bias correction ``z0`` read off the
+bootstrap distribution and an acceleration ``a`` estimated by the
+jackknife — and is the interval Touati (2009) recommends for speedup
+reporting.  It is the only bootstrap interval the lab reports.
 
 Everything here is deterministic given ``seed``: resampling uses the
-suite's LCG (the same stream the percentile bootstrap uses, so the two
-intervals are comparable draw for draw), never :mod:`random`.
+suite's LCG, never :mod:`random`.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro._errors import StatsError
-from repro.core.stats import (
+from repro.stats.base import (
     ConfidenceInterval,
-    _bootstrap_estimates,
     check_sample,
     normal_cdf,
     normal_ppf,
     quantile,
 )
+
+
+def _bootstrap_estimates(
+    values: Sequence[float],
+    stat: Callable[[Sequence[float]], float],
+    n_resamples: int,
+    seed: int,
+) -> List[float]:
+    """``stat`` of ``n_resamples`` resamples of ``values``, sorted.
+
+    Each resample draws ``len(values)`` indices from the suite's LCG
+    seeded with ``seed + 7919``.  Raises :class:`StatsError` unless
+    ``n_resamples`` is at least 1.
+    """
+    if n_resamples < 1:
+        raise StatsError(f"n_resamples must be at least 1, got {n_resamples}")
+    from repro.workloads.base import lcg_stream
+
+    rng = lcg_stream(seed + 7919)
+    n = len(values)
+    estimates: List[float] = []
+    for __ in range(n_resamples):
+        sample = [values[rng() % n] for __ in range(n)]
+        estimates.append(stat(sample))
+    estimates.sort()
+    return estimates
 
 
 def jackknife_acceleration(
@@ -70,8 +93,8 @@ def bca_confidence_interval(
     finite); the acceleration comes from
     :func:`jackknife_acceleration`.  Degenerate samples (n < 2, zero
     variance), out-of-range levels and ``n_resamples < 1`` raise
-    :class:`~repro.core.errors.StatsError`, matching the other interval
-    constructors.
+    :class:`~repro.core.errors.StatsError`, like
+    :func:`~repro.stats.t_confidence_interval`.
     """
     check_sample(values, level, "BCa interval")
     stat = statistic if statistic is not None else (lambda xs: sum(xs) / len(xs))
@@ -94,8 +117,7 @@ def bca_confidence_interval(
             raise StatsError(
                 f"BCa acceleration degenerated (a={a:.4f}, z0={z0:.4f}): "
                 "the jackknife says the statistic's variance changes too "
-                "fast for this sample size — report the percentile "
-                "bootstrap instead"
+                "fast for this sample size — measure more setups"
             )
         return normal_cdf(z0 + (z0 + z) / denom)
 

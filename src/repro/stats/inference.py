@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro._errors import StatsError
-from repro.core.stats import normal_cdf
+from repro.stats.base import normal_cdf
 
 
 def rankdata(values: Sequence[float]) -> List[float]:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Sequence, Tuple
 
 from repro._errors import StatsError
-from repro.core.stats import SummaryStats, normal_ppf, t_ppf
+from repro.stats.base import SummaryStats, normal_ppf, t_ppf
 
 #: Upper bound on the projected recommendation: past this, the honest
 #: advice is "the dispersion is too large for this target", not a number.

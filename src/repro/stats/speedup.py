@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro._errors import StatsError
-from repro.core.stats import (
+from repro.stats.base import (
     ConfidenceInterval,
     geometric_mean,
     skewness,

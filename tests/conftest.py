@@ -11,8 +11,8 @@ import pytest
 
 from repro.arch import execute, get_machine
 from repro.core import Experiment, ExperimentalSetup
-from repro.core.stats import normal_cdf, t_cdf
 from repro.os import Environment, load_process
+from repro.stats import normal_cdf, t_cdf
 from repro.toolchain import compile_program, compile_unit, link
 from repro import workloads
 

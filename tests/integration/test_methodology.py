@@ -76,7 +76,7 @@ class TestRandomizationProtocol:
         # the 1/sqrt(n) factor both shrink.
         import math
 
-        from repro.core.stats import t_ppf
+        from repro.stats import t_ppf
 
         def half_width_factor(n):
             return t_ppf(0.975, n - 1) / math.sqrt(n)

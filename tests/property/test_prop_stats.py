@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 import scipy.stats
 from hypothesis import assume, given, settings
 
-from repro.core.stats import (
+from repro.stats import (
     SummaryStats,
     kernel_density,
     normal_ppf,

@@ -15,7 +15,7 @@ from repro.core.randomization import (
     speedup_convergence,
 )
 from repro.core.setup import ExperimentalSetup
-from repro.core.stats import t_confidence_interval
+from repro.stats import t_confidence_interval
 
 
 class TestBiasReport:

@@ -187,6 +187,29 @@ class TestChaosAndJournalCommands:
         assert main(["obs", "validate", journal]) == 0
         assert "OK: valid journal" in capsys.readouterr().out
 
+    def test_validate_names_the_line_compaction_drops(self, tmp_path, capsys):
+        from repro.core import checklog
+        from repro.core.runner import JOURNAL_FORMAT
+
+        journal = tmp_path / "sweep.jsonl"
+        header = {
+            "format": JOURNAL_FORMAT, "sweep": "s" * 12, "torn_recovered": 0,
+        }
+        first, _ = checklog.encode({"cycles": 1.0}, index=3)
+        other, _ = checklog.encode({"cycles": 2.0}, index=5)
+        latest, _ = checklog.encode({"cycles": 3.0}, index=3)
+        journal.write_text(
+            "\n".join([json.dumps(header), first, other, latest]) + "\n"
+        )
+        assert main(["obs", "validate", str(journal)]) == 1
+        out = capsys.readouterr().out
+        assert "line 2: stale duplicate record for setup 3" in out
+        assert "line 4" not in out
+        assert main(["journal", "compact", str(journal)]) == 0
+        capsys.readouterr()
+        # Compaction keeps the latest record per setup: line 4, not line 2.
+        assert journal.read_text().splitlines()[1:] == [latest, other]
+
     def test_journal_summary_refuses_non_journals(self, tmp_path, capsys):
         junk = tmp_path / "junk.json"
         junk.write_text(json.dumps({"traceEvents": []}))

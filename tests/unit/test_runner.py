@@ -7,7 +7,6 @@ accounting, and journal corruption recovery.
 """
 
 import json
-import os
 
 import pytest
 
@@ -389,10 +388,6 @@ class TestJournalCompaction:
         n_lines = len(SETUPS) + 1  # records + metrics aux
         assert journal_needs_compaction(path, max_records=n_lines - 1)
         assert not journal_needs_compaction(path, max_records=n_lines)
-        assert journal_needs_compaction(path, max_bytes=10)
-        assert not journal_needs_compaction(
-            path, max_bytes=os.path.getsize(path)
-        )
         assert not journal_needs_compaction(path)  # no thresholds
 
     def test_runner_auto_compacts_past_record_threshold(self, tmp_path):
@@ -478,8 +473,6 @@ class TestConfigValidation:
             RunnerConfig(max_respawns=-1)
         with pytest.raises(ValueError, match="journal_max_records"):
             RunnerConfig(journal_max_records=0)
-        with pytest.raises(ValueError, match="journal_max_bytes"):
-            RunnerConfig(journal_max_bytes=0)
 
     def test_wall_clock_deadline_raises_run_timeout(self):
         import time

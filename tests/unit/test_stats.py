@@ -6,12 +6,12 @@ import random
 import pytest
 import scipy.stats
 
-import repro.core.stats
+import repro.stats.base
 from repro.core.errors import StatsError
-from repro.core.stats import (
+from repro.stats import (
     ConfidenceInterval,
     SummaryStats,
-    bootstrap_confidence_interval,
+    bca_confidence_interval,
     geometric_mean,
     incomplete_beta,
     kernel_density,
@@ -89,7 +89,7 @@ class TestQuantileExactness:
             calls.append(t)
             return t_cdf(t, d)
 
-        monkeypatch.setattr(repro.core.stats, "t_cdf", counting_t_cdf)
+        monkeypatch.setattr(repro.stats.base, "t_cdf", counting_t_cdf)
         t_ppf(0.975, df)
         # The bracket stops changing after at most 73 of the 400 halvings.
         assert len(calls) <= 74
@@ -153,17 +153,6 @@ class TestIntervals:
         with pytest.raises(ValueError):
             t_confidence_interval([1.0])
 
-    def test_bootstrap_deterministic(self):
-        values = [1.0, 3.0, 2.0, 5.0, 4.0]
-        a = bootstrap_confidence_interval(values, seed=3)
-        b = bootstrap_confidence_interval(values, seed=3)
-        assert (a.lo, a.hi) == (b.lo, b.hi)
-
-    def test_bootstrap_brackets_mean(self):
-        values = [float(v) for v in range(1, 30)]
-        ci = bootstrap_confidence_interval(values)
-        assert ci.lo < ci.mean < ci.hi
-
     def test_interval_str(self):
         ci = ConfidenceInterval(lo=0.9, hi=1.1, level=0.95, mean=1.0)
         assert "0.9" in str(ci) and "95%" in str(ci)
@@ -171,8 +160,6 @@ class TestIntervals:
     def test_interval_str_names_its_method(self):
         ci = ConfidenceInterval(lo=0.9, hi=1.1, level=0.95, mean=1.0)
         assert ci.method == "t" and "t" in str(ci)
-        boot = bootstrap_confidence_interval([1.0, 3.0, 2.0, 5.0, 4.0])
-        assert boot.method == "bootstrap" and "bootstrap" in str(boot)
 
 
 class TestIntervalHardening:
@@ -183,7 +170,7 @@ class TestIntervalHardening:
         assert issubclass(StatsError, ValueError)
 
     @pytest.mark.parametrize(
-        "interval", [t_confidence_interval, bootstrap_confidence_interval]
+        "interval", [t_confidence_interval, bca_confidence_interval]
     )
     def test_small_samples_raise(self, interval):
         with pytest.raises(StatsError):
@@ -192,26 +179,19 @@ class TestIntervalHardening:
             interval([1.0])
 
     @pytest.mark.parametrize(
-        "interval", [t_confidence_interval, bootstrap_confidence_interval]
+        "interval", [t_confidence_interval, bca_confidence_interval]
     )
     def test_zero_variance_raises(self, interval):
         with pytest.raises(StatsError):
             interval([2.0, 2.0, 2.0])
 
     @pytest.mark.parametrize(
-        "interval", [t_confidence_interval, bootstrap_confidence_interval]
+        "interval", [t_confidence_interval, bca_confidence_interval]
     )
     @pytest.mark.parametrize("level", [0.0, 1.0, -0.1, 1.5])
     def test_level_edges_raise(self, interval, level):
         with pytest.raises(StatsError):
             interval([1.0, 2.0, 3.0], level=level)
-
-    @pytest.mark.parametrize("n_resamples", [0, -1])
-    def test_bootstrap_needs_a_resample(self, n_resamples):
-        with pytest.raises(
-            StatsError, match=f"n_resamples must be at least 1, got {n_resamples}"
-        ):
-            bootstrap_confidence_interval([1.0, 2.0, 3.0], n_resamples=n_resamples)
 
     def test_error_messages_name_the_problem(self):
         with pytest.raises(StatsError, match="at least 2"):

@@ -6,6 +6,7 @@ p-values, exactly as tests/unit/test_stats.py uses it for the
 distribution functions.
 """
 
+import hashlib
 import math
 from collections import Counter
 
@@ -17,7 +18,7 @@ import repro.stats.samplesize
 from repro.core import ExperimentalSetup
 from repro.core.errors import StatsError
 from repro.core.randomization import evaluate_with_randomization
-from repro.core.stats import t_ppf
+from repro.core.session import canonical_json
 from repro.stats import (
     SKEW_THRESHOLD,
     analyze_speedups,
@@ -31,6 +32,8 @@ from repro.stats import (
     rank_biserial,
     rankdata,
     required_setups,
+    t_confidence_interval,
+    t_ppf,
     wilcoxon_signed_rank,
 )
 
@@ -211,7 +214,7 @@ class TestRequiredSetups:
         assert "recommend" in est.summary_line()
         # The projected n actually reaches the target width.
         from repro.stats.samplesize import _half_width
-        from repro.core.stats import SummaryStats
+        from repro.stats import SummaryStats
 
         stats = SummaryStats.from_values(X)
         projected = _half_width(stats.std, est.recommended_n, est.level)
@@ -341,3 +344,21 @@ class TestAnalyzeSpeedups:
             analyze_speedups([1.1])
         with pytest.raises(StatsError):
             analyze_speedups([1.1, 1.1, 1.1])
+
+
+class TestExactBits:
+    """The manifest ``stats`` section and the printed t interval are
+    archived output: a refactor of the statistics code must keep every
+    bit of them, so their digest is pinned here."""
+
+    SAMPLE = [
+        1.031, 1.072, 0.987, 1.046, 1.118, 1.009,
+        1.064, 1.253, 1.027, 0.994, 1.081, 1.055,
+    ]
+    SHA256 = "a382cd602a9603f0137c9306e459ad798604886782a1f7b13e76e2933a7dd528"
+
+    def test_analysis_and_t_interval_bits_are_pinned(self):
+        blob = canonical_json(
+            analyze_speedups(self.SAMPLE, seed=11).to_dict()
+        ) + str(t_confidence_interval(self.SAMPLE))
+        assert hashlib.sha256(blob.encode()).hexdigest() == self.SHA256

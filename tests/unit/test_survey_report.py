@@ -8,7 +8,6 @@ from repro.core.report import (
     render_table,
     render_violin,
 )
-from repro.core.stats import kernel_density
 from repro.core.survey import (
     VENUES,
     attribute_rates,
@@ -18,6 +17,7 @@ from repro.core.survey import (
     single_setup_fraction,
     survey_table,
 )
+from repro.stats import kernel_density
 
 
 class TestSurveyCorpus:

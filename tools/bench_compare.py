@@ -11,17 +11,16 @@ enforces the repo's determinism contract (docs/observability.md):
   ``engine.simulated_cycles``, cache hits, ...), engine-profile dispatch
   and basic-block counts, and the recorded harness configuration
   (jobs/hosts/fault plan/trace sampling/heartbeat interval);
-- **wall-clock facts get a tolerance** — ``engine.ips``, ``*_seconds``
-  histograms and ``*_wall_ns`` tallies are facts about one host on one
-  day, so they are compared with a relative threshold
-  (``--wall-tolerance``, default 0.5 = +/-50%) instead of exactly;
-- **timestamps are ignored** (``created_unix``).
+- **wall-clock facts and timestamps are ignored** — ``engine.ips``,
+  ``*_seconds`` histograms, ``*_wall_ns`` tallies and ``created_unix``
+  are facts about one host on one day.  Wall-time claims are made with
+  perfbench's repeated, bounded runs (docs/performance.md), not here.
 
 Exit codes: 0 = no drift, 1 = drift detected, 2 = usage/IO error.
 
 Usage::
 
-    python tools/bench_compare.py RESULTS_A RESULTS_B [--wall-tolerance F]
+    python tools/bench_compare.py RESULTS_A RESULTS_B
 
 The perf-smoke CI job runs the pinned micro-bench twice into two fresh
 directories and gates the build on this script: any nonzero exit means
@@ -38,7 +37,7 @@ import hashlib
 import json
 import os
 import sys
-from typing import Any, Dict, Iterator, List, Tuple
+from typing import Any, Dict, Iterator, List
 
 #: Metric-name suffixes that mark a value as wall-clock (host-local,
 #: never byte-stable): timings, rates derived from timings.
@@ -132,50 +131,7 @@ def diff_paths(a: Any, b: Any, prefix: str = "") -> Iterator[str]:
         yield f"{prefix}: {a!r} != {b!r}"
 
 
-def wall_values(sidecar: Dict[str, Any]) -> Dict[str, float]:
-    """The comparable wall-clock scalars of one sidecar, by dotted path."""
-    out: Dict[str, float] = {}
-    metrics = sidecar.get("metrics") or {}
-    for name, value in (metrics.get("gauges") or {}).items():
-        if is_wall_metric(name) and isinstance(value, (int, float)):
-            out[f"gauges.{name}"] = float(value)
-    for name, summary in (metrics.get("histograms") or {}).items():
-        if is_wall_metric(name) and isinstance(summary, dict):
-            mean = summary.get("mean")
-            if isinstance(mean, (int, float)):
-                out[f"histograms.{name}.mean"] = float(mean)
-    perf = sidecar.get("perf")
-    if isinstance(perf, dict) and isinstance(perf.get("engine"), dict):
-        wall_ns = perf["engine"].get("opcode_wall_ns")
-        if isinstance(wall_ns, dict):
-            out["perf.engine.opcode_wall_ns.total"] = float(
-                sum(v for v in wall_ns.values() if isinstance(v, (int, float)))
-            )
-    return out
-
-
-def compare_wall(
-    a: Dict[str, Any], b: Dict[str, Any], tolerance: float
-) -> Tuple[List[str], List[str]]:
-    """Thresholded wall-clock comparison: (problems, info lines)."""
-    problems: List[str] = []
-    info: List[str] = []
-    va, vb = wall_values(a), wall_values(b)
-    for path in sorted(set(va) & set(vb)):
-        x, y = va[path], vb[path]
-        scale = max(abs(x), abs(y))
-        rel = abs(x - y) / scale if scale > 0 else 0.0
-        line = f"{path}: {x:g} vs {y:g} ({rel:+.1%})"
-        if rel > tolerance:
-            problems.append(f"wall drift beyond {tolerance:.0%}: {line}")
-        else:
-            info.append(line)
-    return problems, info
-
-
-def compare_dirs(
-    dir_a: str, dir_b: str, tolerance: float, verbose: bool = False
-) -> List[str]:
+def compare_dirs(dir_a: str, dir_b: str) -> List[str]:
     """All drift findings between two result directories."""
     side_a, side_b = load_sidecars(dir_a), load_sidecars(dir_b)
     problems: List[str] = []
@@ -193,12 +149,6 @@ def compare_dirs(
             f"{name}: deterministic field differs — {d}"
             for d in diff_paths(deterministic_view(a), deterministic_view(b))
         ]
-        if tolerance > 0:
-            wall_problems, wall_info = compare_wall(a, b, tolerance)
-            problems += [f"{name}: {p}" for p in wall_problems]
-            if verbose:
-                for line in wall_info:
-                    print(f"  {name}: wall ok: {line}")
     return problems
 
 
@@ -206,29 +156,13 @@ def main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="bench_compare",
         description="Diff two benchmark sidecar directories "
-        "(exact on deterministic facts, thresholded on wall clock).",
+        "(exact on deterministic facts; wall clock is not compared).",
     )
     parser.add_argument("dir_a", help="baseline results directory")
     parser.add_argument("dir_b", help="candidate results directory")
-    parser.add_argument(
-        "--wall-tolerance",
-        type=float,
-        default=0.5,
-        metavar="FRAC",
-        help="max relative wall-clock drift (default 0.5; 0 disables "
-        "wall checks entirely)",
-    )
-    parser.add_argument(
-        "-v", "--verbose", action="store_true",
-        help="also print wall-clock comparisons that passed",
-    )
     args = parser.parse_args(argv)
-    if args.wall_tolerance < 0:
-        parser.error("--wall-tolerance must be >= 0")
     try:
-        problems = compare_dirs(
-            args.dir_a, args.dir_b, args.wall_tolerance, args.verbose
-        )
+        problems = compare_dirs(args.dir_a, args.dir_b)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"bench_compare: {exc}", file=sys.stderr)
         return 2
@@ -239,8 +173,7 @@ def main(argv: List[str]) -> int:
             print(f"  - {p}")
         return 1
     shared = len(set(load_sidecars(args.dir_a)) & set(load_sidecars(args.dir_b)))
-    print(f"OK: {shared} bench result(s) match "
-          f"(wall tolerance {args.wall_tolerance:.0%})")
+    print(f"OK: {shared} bench result(s) match")
     return 0
 
 
