@@ -14,8 +14,10 @@ from typing import Optional, Tuple, Union
 
 from repro.arch.machines import MachineConfig, get_machine
 from repro.os.environment import Environment
+from repro.toolchain.profiles import CompilerProfile
 
 MachineLike = Union[str, MachineConfig]
+CompilerLike = Union[str, CompilerProfile]
 
 
 @dataclass(frozen=True)
@@ -25,7 +27,8 @@ class ExperimentalSetup:
     Attributes:
         machine: machine preset name ("core2", "pentium4", "m5_o3cpu") or
             a custom :class:`MachineConfig` (ablations).
-        compiler: vendor profile name ("gcc" or "icc").
+        compiler: vendor profile name ("gcc" or "icc") or a custom
+            :class:`CompilerProfile`.
         opt_level: 0-3.
         link_order: module-name permutation handed to the linker; ``None``
             uses the workload's declared order.
@@ -37,7 +40,7 @@ class ExperimentalSetup:
     """
 
     machine: MachineLike = "core2"
-    compiler: str = "gcc"
+    compiler: CompilerLike = "gcc"
     opt_level: int = 2
     link_order: Optional[Tuple[str, ...]] = None
     env_bytes: Optional[int] = None
@@ -73,6 +76,12 @@ class ExperimentalSetup:
         cfg = self.machine
         return cfg.name if isinstance(cfg, MachineConfig) else cfg
 
+    @property
+    def compiler_name(self) -> str:
+        """The compiler profile's name, whether preset or custom."""
+        profile = self.compiler
+        return profile.name if isinstance(profile, CompilerProfile) else profile
+
     def build_key(self) -> tuple:
         """Cache key for the *compiled and linked* artifact: every field
         that affects the executable (but not the run environment)."""
@@ -87,7 +96,7 @@ class ExperimentalSetup:
         """Compact human-readable description."""
         parts = [
             self.machine_name,
-            self.compiler,
+            self.compiler_name,
             f"O{self.opt_level}",
         ]
         if self.link_order is not None:

@@ -15,6 +15,7 @@ suite's LCG, never :mod:`random`.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Callable, List, Optional, Sequence
 
 from repro._errors import StatsError
@@ -36,18 +37,19 @@ def _bootstrap_estimates(
     """``stat`` of ``n_resamples`` resamples of ``values``, sorted.
 
     Each resample draws ``len(values)`` indices from the suite's LCG
-    seeded with ``seed + 7919``.  Raises :class:`StatsError` unless
-    ``n_resamples`` is at least 1.
+    seeded with ``seed + 7919``, read in bulk from one
+    :func:`~repro.workloads.base.lcg_values` stream.  Raises
+    :class:`StatsError` unless ``n_resamples`` is at least 1.
     """
     if n_resamples < 1:
         raise StatsError(f"n_resamples must be at least 1, got {n_resamples}")
-    from repro.workloads.base import lcg_stream
+    from repro.workloads.base import lcg_values
 
-    rng = lcg_stream(seed + 7919)
+    draws = lcg_values(seed + 7919)
     n = len(values)
     estimates: List[float] = []
     for __ in range(n_resamples):
-        sample = [values[rng() % n] for __ in range(n)]
+        sample = [values[r % n] for r in islice(draws, n)]
         estimates.append(stat(sample))
     estimates.sort()
     return estimates

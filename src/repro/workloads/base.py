@@ -15,8 +15,9 @@ its code across several translation units the way real programs do.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Mapping, Sequence, Tuple, Union
 
 Bindings = Dict[str, Union[int, List[int]]]
 
@@ -71,23 +72,67 @@ class Workload:
         return f"Workload({self.name!r}, modules={self.module_names()})"
 
 
-def lcg_stream(seed: int) -> Callable[[], int]:
+_LCG_MASK = (1 << 63) - 1
+_LCG_MUL = 3202034522624059733
+_LCG_INC = 4354685564936845319
+
+#: States stepped together per round once a stream is past its first
+#: round.  Each lane is one state in a 128-bit slot of a single integer,
+#: wide enough that a slot's product and sum never carry into the next.
+_LANES = 256
+
+
+def _lane_constants() -> Tuple[int, int, int, struct.Struct]:
+    """The jump multiplier ``A**256``, the jump increment ``C_256``
+    replicated into every slot, the 63-bit mask replicated likewise, and
+    the little-endian codec of one round's slots (the low 64-bit word
+    of each; the high word is skipped)."""
+    mul, inc = 1, 0
+    for __ in range(_LANES):
+        mul = (mul * _LCG_MUL) & _LCG_MASK
+        inc = (inc * _LCG_MUL + _LCG_INC) & _LCG_MASK
+
+    def every_slot(word: int) -> int:
+        return int.from_bytes(word.to_bytes(16, "little") * _LANES, "little")
+
+    slots = struct.Struct("<" + "Q8x" * _LANES)
+    return mul, every_slot(inc), every_slot(_LCG_MASK), slots
+
+
+_JUMP_MUL, _JUMP_INC, _SLOT_MASK, _SLOTS = _lane_constants()
+
+
+def lcg_values(seed: int) -> Iterator[int]:
     """Deterministic 63-bit LCG; the suite's only randomness source.
 
-    Returns a zero-argument function yielding the next value.  Workload
-    input generators must use this (never :mod:`random`) so inputs are
-    stable across Python versions.
+    An endless iterator over the values of the stream seeded by
+    ``seed``.  Its first round steps one state per value, so a caller
+    that draws a few values pays for a few steps.  After that, state
+    ``i + 256`` is ``A**256 * s[i] + C_256`` (mod 2**63), so one
+    big-integer multiply-add advances all 256 lanes of a round; the
+    values are exactly those of the one-state-at-a-time recurrence, in
+    the same order, on any host byte order.
     """
-    state = (seed * 2862933555777941757 + 3037000493) & ((1 << 63) - 1)
+    state = (seed * 2862933555777941757 + 3037000493) & _LCG_MASK
+    states = []
+    for __ in range(_LANES):
+        state = (state * _LCG_MUL + _LCG_INC) & _LCG_MASK
+        states.append(state)
+        yield state >> 16
+    lanes = int.from_bytes(_SLOTS.pack(*states), "little")
+    while True:
+        lanes = (lanes * _JUMP_MUL + _JUMP_INC) & _SLOT_MASK
+        # Shifting the whole integer moves each slot's value into its low
+        # word; the next slot's low 16 bits land in the skipped high word.
+        yield from _SLOTS.unpack((lanes >> 16).to_bytes(_SLOTS.size, "little"))
 
-    def next_value() -> int:
-        nonlocal state
-        state = (state * 3202034522624059733 + 4354685564936845319) & (
-            (1 << 63) - 1
-        )
-        return state >> 16
 
-    return next_value
+def lcg_stream(seed: int) -> Callable[[], int]:
+    """:func:`lcg_values` as a zero-argument function yielding the next
+    value.  Workload input generators must use this (never
+    :mod:`random`) so inputs are stable across Python versions.
+    """
+    return lcg_values(seed).__next__
 
 
 def scaled(size: str, test: int, train: int, ref: int) -> int:

@@ -157,3 +157,31 @@ def reference_t_ppf(p: float, df: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def reference_lcg_stream(seed: int):
+    """The suite's LCG as one state step per call: the recurrence that
+    ``lcg_values``' 256-lane rounds must reproduce value for value."""
+    mask = (1 << 63) - 1
+    state = (seed * 2862933555777941757 + 3037000493) & mask
+
+    def next_value() -> int:
+        nonlocal state
+        state = (state * 3202034522624059733 + 4354685564936845319) & mask
+        return state >> 16
+
+    return next_value
+
+
+def reference_bootstrap_estimates(values, stat, n_resamples: int, seed: int):
+    """``_bootstrap_estimates`` as a per-draw loop over
+    :func:`reference_lcg_stream`: the reference its bulk reads must
+    match bit for bit."""
+    rng = reference_lcg_stream(seed + 7919)
+    n = len(values)
+    estimates = []
+    for __ in range(n_resamples):
+        sample = [values[rng() % n] for __ in range(n)]
+        estimates.append(stat(sample))
+    estimates.sort()
+    return estimates

@@ -1,6 +1,7 @@
 """Unit tests: ExperimentalSetup and Experiment."""
 
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -10,7 +11,7 @@ from repro.arch.engine import FASTPATH_ENV
 from repro.core import Experiment, ExperimentalSetup, VerificationError
 from repro.core import experiment as experiment_mod
 from repro.os import Environment
-from repro.toolchain import compile_program
+from repro.toolchain import compile_program, get_profile
 from repro.toolchain.linker import LinkLayout, link
 
 #: The decode arrays an executable hands the engines.
@@ -76,6 +77,17 @@ class TestExperimentalSetup:
         s = ExperimentalSetup(opt_level=3, env_bytes=256)
         d = s.describe()
         assert "O3" in d and "256" in d and "core2" in d
+
+    def test_custom_compiler_profile_describes_and_runs(self):
+        # describe() feeds every run's fault key, so a custom profile
+        # must describe by name before Experiment.run can measure it.
+        profile = replace(get_profile("gcc"), name="gcc-wide")
+        s = ExperimentalSetup(compiler=profile, opt_level=3)
+        assert s.compiler_name == "gcc-wide"
+        assert s.describe() == "core2 gcc-wide O3"
+        assert ExperimentalSetup(compiler="icc").describe() == "core2 icc O2"
+        exp = Experiment(workloads.get("sphinx3"), size="test", seed=0)
+        assert exp.run(s).exit_value == exp.expected
 
 
 class TestExperiment:

@@ -362,3 +362,30 @@ class TestExactBits:
             analyze_speedups(self.SAMPLE, seed=11).to_dict()
         ) + str(t_confidence_interval(self.SAMPLE))
         assert hashlib.sha256(blob.encode()).hexdigest() == self.SHA256
+
+    SAMPLE_16 = [
+        1.031, 1.072, 0.987, 1.046, 1.118, 1.009, 1.064, 1.253,
+        1.027, 0.994, 1.081, 1.055, 1.122, 0.978, 1.039, 1.097,
+    ]
+    SAMPLE_33 = [0.95 + ((i * 7919) % 101) / 400 for i in range(33)]
+
+    @pytest.mark.parametrize(
+        "sample, sha256",
+        [
+            (
+                SAMPLE_16,
+                "9580ff7d6c8d28e7cf36e37c6970c3d8050a9111e132683f67489a50e6b1d49d",
+            ),
+            (
+                SAMPLE_33,
+                "f974e6c0d867abaa63798271e8785a7db8b0ebcd773387da0363777ba5d0a95b",
+            ),
+        ],
+        ids=["n16", "n33"],
+    )
+    def test_bca_interval_bits_are_pinned(self, sample, sha256):
+        # The printed interval plus both bounds' exact bits: BCa's draw
+        # stream crosses a 256-value lane boundary on both samples.
+        ci = bca_confidence_interval(sample, seed=3)
+        blob = str(ci) + ci.lo.hex() + ci.hi.hex()
+        assert hashlib.sha256(blob.encode()).hexdigest() == sha256
