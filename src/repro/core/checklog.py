@@ -20,6 +20,7 @@ import os
 from dataclasses import dataclass
 from typing import (
     IO, Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+    Union,
 )
 
 from repro import faults, storageio
@@ -72,14 +73,19 @@ class Compaction(NamedTuple):
 
 
 def encode(
-    data: Dict, *, index: Optional[int] = None, kind: Optional[str] = None
+    data: Union[Dict, str],
+    *,
+    index: Optional[int] = None,
+    kind: Optional[str] = None,
 ) -> Tuple[str, str]:
     """The line for one record (indexed when ``index`` is given, else of
     ``kind``) and its checksum.  The payload is serialized once: the
     checksum hashes that text and the line is built around it, byte for
     byte the ``canonical_json`` of the whole record (canonical JSON sorts
-    keys at every level, and the record's own keys sort as written)."""
-    payload = canonical_json(data)
+    keys at every level, and the record's own keys sort as written).
+    ``data`` may already be that canonical JSON text, as a store hit's
+    payload is; it is then used as it stands."""
+    payload = data if isinstance(data, str) else canonical_json(data)
     checksum = hashlib.sha256(payload.encode()).hexdigest()
     if index is not None:
         line = (

@@ -69,7 +69,7 @@ class RandomizedEvaluation:
         Returns a :class:`repro.stats.SpeedupAnalysis` — nonparametric
         test, BCa interval, effect size, and the sequential sample-size
         recommendation — built from the already-measured speedups (no
-        re-measurement).  Raises
+        re-measurement) and this evaluation's t interval.  Raises
         :class:`~repro.core.errors.StatsError` on degenerate samples,
         like the interval constructors.
         """
@@ -81,6 +81,7 @@ class RandomizedEvaluation:
             level=self.interval.level,
             target_rel_width=target_rel_width,
             seed=seed,
+            t_interval=self.interval,
         )
 
 

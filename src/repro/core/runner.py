@@ -60,7 +60,9 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro import faults, workloads
 from repro._errors import (
@@ -402,9 +404,10 @@ def sweep_id(
 
 
 #: One measurement record for :meth:`Journal.append`: the setup's index
-#: in the sweep, its measurement dict and its fault key (None: no
-#: storage fault draws).
-JournalEntry = Tuple[int, Dict, Optional[str]]
+#: in the sweep, its measurement dict (or that dict's canonical JSON, as
+#: a store hit holds it) and its fault key (None: no storage fault
+#: draws).
+JournalEntry = Tuple[int, Union[Dict, str], Optional[str]]
 
 
 class Journal:
@@ -1090,8 +1093,9 @@ class SweepRunner:
         A hit is accounted *exactly* like a fresh measurement — statuses
         say ``measured``, the sweep-scoped counters advance by one
         attempt and one measured setup, and the journal receives the
-        same canonical record a cold run would append — so a warm
-        report is byte-identical to the cold one that seeded the store.
+        same canonical record a cold run would append (the entry's own
+        payload text, not a second encoding) — so a warm report is
+        byte-identical to the cold one that seeded the store.
         The hits reach the journal as one group commit, and each is
         reported finished only once that commit is durable.
         ``store.*`` tallies go only to the global obs registry (manifest
@@ -1102,15 +1106,17 @@ class SweepRunner:
         exp = self.experiment
         store = self.store
         hits: List[int] = []
+        texts: Dict[int, str] = {}
         for index, setup in enumerate(setups):
             if results[index] is not None:
                 # Resumed from the journal: publish to the store so the
                 # next run no longer needs this journal to go warm.
                 store.put_measurement(exp, results[index])
                 continue
-            m = store.get_measurement(exp, setup)
-            if m is None:
+            hit = store.get_measurement(exp, setup, with_text=True)
+            if hit is None:
                 continue
+            m, texts[index] = hit
             # Re-anchor on the caller's setup object (equality-compatible
             # with the run cache), exactly as journal resume does.
             results[index] = replace(m, setup=setup)
@@ -1122,10 +1128,12 @@ class SweepRunner:
             return
         if journal is not None:
             wl, size, seed = exp.workload.name, exp.size, exp.seed
+            # The entry's text is the record a cold run journals: its
+            # key pins the setup's dict form, the rest is the measurement.
             journal.append([
                 (
                     index,
-                    measurement_to_dict(results[index]),
+                    texts[index],
                     faults.fault_key(wl, size, seed, setups[index]),
                 )
                 for index in hits

@@ -28,7 +28,8 @@ from repro._errors import ArchiveCorruption
 from repro.arch.counters import PerfCounters
 from repro.arch.machines import MachineConfig
 from repro.core.experiment import Measurement
-from repro.core.setup import ExperimentalSetup
+from repro.core.setup import CompilerLike, ExperimentalSetup
+from repro.toolchain.profiles import CompilerProfile
 
 #: ``PerfCounters`` field names, in order: the encoder copies them one by
 #: one, where ``dataclasses.asdict`` would deep-copy every number.
@@ -53,8 +54,17 @@ _SETUP_KEYS = (
 _MEASUREMENT_KEYS = ("workload", "size", "seed", "setup", "counters", "exit_value")
 
 
+def compiler_to_data(compiler: CompilerLike) -> Union[str, Dict]:
+    """A setup's ``compiler`` as JSON: a preset's name as it stands, a
+    custom :class:`CompilerProfile` as ``{"__compiler_profile__": ...}``."""
+    if isinstance(compiler, CompilerProfile):
+        return {"__compiler_profile__": compiler.to_dict()}
+    return compiler
+
+
 def setup_to_dict(setup: ExperimentalSetup) -> Dict:
-    """Serialize a setup, embedding custom machine configs inline."""
+    """Serialize a setup, embedding custom machine configs and compiler
+    profiles inline."""
     machine: Union[str, Dict]
     if isinstance(setup.machine, MachineConfig):
         machine = {"__machine_config__": setup.machine.to_dict()}
@@ -62,7 +72,7 @@ def setup_to_dict(setup: ExperimentalSetup) -> Dict:
         machine = setup.machine
     return {
         "machine": machine,
-        "compiler": setup.compiler,
+        "compiler": compiler_to_data(setup.compiler),
         "opt_level": setup.opt_level,
         "link_order": list(setup.link_order) if setup.link_order else None,
         "env_bytes": setup.env_bytes,
@@ -76,9 +86,12 @@ def setup_from_dict(data: Dict) -> ExperimentalSetup:
     machine = data["machine"]
     if isinstance(machine, dict):
         machine = MachineConfig.from_dict(machine["__machine_config__"])
+    compiler = data["compiler"]
+    if isinstance(compiler, dict):
+        compiler = CompilerProfile.from_dict(compiler["__compiler_profile__"])
     return ExperimentalSetup(
         machine=machine,
-        compiler=data["compiler"],
+        compiler=compiler,
         opt_level=data["opt_level"],
         link_order=tuple(data["link_order"]) if data["link_order"] else None,
         env_bytes=data["env_bytes"],

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro._errors import StatsError
 
@@ -132,9 +132,77 @@ def t_cdf(t: float, df: float) -> float:
     return 1.0 - p if t > 0 else p
 
 
+#: :func:`t_ppf` bisects ``(-_T_LIMIT, _T_LIMIT)``.
+_T_LIMIT = 1e6
+
+
 def t_ppf(p: float, df: float) -> float:
     """Student-t quantile via bisection on :func:`t_cdf`."""
-    return _bisect_quantile(lambda t: t_cdf(t, df), p, -1e6, 1e6, 400)
+    return _bisect_quantile(lambda t: t_cdf(t, df), p, -_T_LIMIT, _T_LIMIT, 400)
+
+
+#: The margin ``M`` by which a certified bracket's ends must clear
+#: ``p``: 1000 times the largest error of :func:`t_cdf` against scipy
+#: that tests/unit/test_stats.py allows near the quantiles.
+BRACKET_MARGIN = 1e-7
+
+#: Newton steps :func:`t_ppf_bracket` takes before it gives up.
+_NEWTON_STEPS = 8
+
+
+def t_ppf_bracket(
+    p: float, df: float, start: float
+) -> Optional[Tuple[float, float]]:
+    """A certified bracket ``(a, b)`` around ``t_ppf(p, df)``, or None.
+
+    Newton steps on :func:`t_cdf`, from ``start`` (a caller's
+    ``normal_ppf(p)``), with the density from :func:`math.lgamma`, stop
+    once ``t_cdf`` is within ``M / 8`` of ``p`` (``M`` is
+    :data:`BRACKET_MARGIN`); the bracket is that estimate plus or minus
+    ``4 M`` over the density there, so both ends clear ``p`` by about
+    ``4 M``.  It is returned only when two more :func:`t_cdf` calls
+    certify it, ``t_cdf(a) < p - M`` and ``t_cdf(b) > p + M``, and only
+    inside ``[1, 1e6)``; None when Newton does not converge in
+    a few steps or certification fails.
+
+    Why ``t_ppf(p, df)`` then lies in ``[a, b]``: suppose the computed
+    CDF is within ``M / 2`` of the true CDF ``F`` everywhere (the scipy
+    test bounds its error near the quantiles by ``M / 1000``).  Then
+    ``F(a) < p - M / 2``, so every ``x <= a`` has a computed CDF below
+    ``F(x) + M / 2 <= F(a) + M / 2 < p``, and a step of
+    :func:`_bisect_quantile` whose midpoint lies at or below ``a``
+    raises the lower end.  Likewise every ``x >= b`` has a computed CDF
+    above ``p``, and a step whose midpoint lies at or above ``b`` lowers
+    the upper end.  So the bisection, which starts outside ``[a, b]``,
+    keeps its lower end below ``b`` and its upper end above ``a``.  Its
+    first midpoint, 0, raises the lower end to 0; once the ends are
+    less than 1/2 apart the lower end is above ``a - 1/2 >= 1/2``, where
+    floats are at least ``2**-53`` apart, so about 75 of its 400
+    halvings bring the ends to equal or adjacent floats.  Such ends,
+    one below ``b`` and one above ``a``, both lie in ``[a, b]``, and the
+    midpoint returned is one of them.
+    """
+    scale = (
+        math.lgamma((df + 1.0) / 2.0)
+        - math.lgamma(df / 2.0)
+        - 0.5 * math.log(df * math.pi)
+    )
+    t = start
+    for __ in range(_NEWTON_STEPS):
+        density = math.exp(scale - (df + 1.0) / 2.0 * math.log1p(t * t / df))
+        miss = t_cdf(t, df) - p
+        if abs(miss) <= BRACKET_MARGIN / 8.0:
+            break
+        t -= miss / density
+    else:
+        return None
+    half = 4.0 * BRACKET_MARGIN / density
+    a, b = t - half, t + half
+    if not 1.0 <= a < b < _T_LIMIT:
+        return None
+    if t_cdf(a, df) < p - BRACKET_MARGIN and t_cdf(b, df) > p + BRACKET_MARGIN:
+        return a, b
+    return None
 
 
 # --------------------------------------------------------------------------

@@ -15,7 +15,7 @@ suite's LCG, never :mod:`random`.
 
 from __future__ import annotations
 
-from itertools import islice
+from bisect import bisect_left, bisect_right
 from typing import Callable, List, Optional, Sequence
 
 from repro._errors import StatsError
@@ -37,20 +37,31 @@ def _bootstrap_estimates(
     """``stat`` of ``n_resamples`` resamples of ``values``, sorted.
 
     Each resample draws ``len(values)`` indices from the suite's LCG
-    seeded with ``seed + 7919``, read in bulk from one
-    :func:`~repro.workloads.base.lcg_values` stream.  Raises
-    :class:`StatsError` unless ``n_resamples`` is at least 1.
+    seeded with ``seed + 7919``, read a round of 256 values at a time
+    from :func:`~repro.workloads.base.lcg_rounds`.  Each round is mapped
+    to sample values in one pass, and resamples are sliced out of a
+    buffer of fewer than ``256 + len(values)`` values, so the draws are
+    never all held at once.  Raises :class:`StatsError` unless
+    ``n_resamples`` is at least 1.
     """
     if n_resamples < 1:
         raise StatsError(f"n_resamples must be at least 1, got {n_resamples}")
-    from repro.workloads.base import lcg_values
+    from repro.workloads.base import lcg_rounds
 
-    draws = lcg_values(seed + 7919)
     n = len(values)
+    left = n_resamples * n
+    buffer: List[float] = []
     estimates: List[float] = []
-    for __ in range(n_resamples):
-        sample = [values[r % n] for r in islice(draws, n)]
-        estimates.append(stat(sample))
+    for rnd in lcg_rounds(seed + 7919):
+        if left < len(rnd):
+            rnd = rnd[:left]
+        left -= len(rnd)
+        buffer += [values[r % n] for r in rnd]
+        whole = len(buffer) - len(buffer) % n
+        estimates += [stat(buffer[i:i + n]) for i in range(0, whole, n)]
+        del buffer[:whole]
+        if not left:
+            break
     estimates.sort()
     return estimates
 
@@ -103,8 +114,9 @@ def bca_confidence_interval(
     estimates = _bootstrap_estimates(values, stat, n_resamples, seed)
     theta = stat(list(values))
 
-    below = sum(1 for e in estimates if e < theta)
-    ties = sum(1 for e in estimates if e == theta)
+    # The estimates come sorted, so two binary searches count them.
+    below = bisect_left(estimates, theta)
+    ties = bisect_right(estimates, theta, below) - below
     fraction = (below + 0.5 * ties) / n_resamples
     fraction = min(max(fraction, 0.5 / n_resamples), 1.0 - 0.5 / n_resamples)
     z0 = normal_ppf(fraction)

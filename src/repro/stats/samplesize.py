@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro._errors import StatsError
-from repro.stats.base import SummaryStats, normal_ppf, t_ppf
+from repro.stats.base import SummaryStats, normal_ppf, t_ppf, t_ppf_bracket
 
 #: Upper bound on the projected recommendation: past this, the honest
 #: advice is "the dispersion is too large for this target", not a number.
@@ -129,41 +129,47 @@ def required_setups(
             converged=True,
         )
     q = 0.5 + level / 2.0
-    # t_{m-1} at each size m, computed at most once per call: the
-    # half-width, the fixed point and the final scan share these values.
-    crit: Dict[int, float] = {}
-
-    def t_crit(m: int) -> float:
-        if m not in crit:
-            crit[m] = t_ppf(q, m - 1)
-        return crit[m]
-
-    half = t_crit(n) * stats.std / math.sqrt(n)
+    half = t_ppf(q, n - 1) * stats.std / math.sqrt(n)
     rel = half / abs(stats.mean)
     target_half = target_rel_width * abs(stats.mean)
     recommended = n
     if half > target_half:
         # Solve t_{m-1} * s / sqrt(m) <= target by fixed point: seed with
-        # the normal-quantile solution (a lower bound, since t_crit >= z)
+        # the normal-quantile solution (a lower bound, since t_{m-1} >= z)
         # and re-solve with the t quantile at the current guess until it
-        # stabilizes — a handful of t_ppf calls instead of one per
-        # candidate m.
+        # stabilizes, then scan up to the first m that meets the target.
         z = normal_ppf(q)
-        m = max(n + 1, int(math.ceil((z * stats.std / target_half) ** 2)))
+        brackets: Dict[int, Optional[Tuple[float, float]]] = {}
+        exact: Dict[int, float] = {}
+
+        def decide(f: Callable[[float], Any], m: int) -> Any:
+            # f(t_{m-1}) for an f that is non-decreasing in t.  When f
+            # agrees at both ends of a certified bracket around the
+            # quantile, that is its value at the quantile, with no
+            # bisection; otherwise bisect.  Each at most once per m.
+            if m not in brackets:
+                brackets[m] = t_ppf_bracket(q, m - 1, z)
+            bracket = brackets[m]
+            if bracket is not None and f(bracket[0]) == f(bracket[1]):
+                return f(bracket[0])
+            if m not in exact:
+                exact[m] = t_ppf(q, m - 1)
+            return f(exact[m])
+
+        def needed(t: float) -> int:
+            return max(n + 1, int(math.ceil((t * stats.std / target_half) ** 2)))
+
+        m = needed(z)
         for __ in range(16):
             if m >= MAX_PROJECTED_N:
                 m = MAX_PROJECTED_N
                 break
-            needed = max(
-                n + 1,
-                int(math.ceil((t_crit(m) * stats.std / target_half) ** 2)),
-            )
-            if needed <= m:
+            guess = decide(needed, m)
+            if guess <= m:
                 break
-            m = needed
-        while (
-            m < MAX_PROJECTED_N
-            and t_crit(m) * stats.std / math.sqrt(m) > target_half
+            m = guess
+        while m < MAX_PROJECTED_N and decide(
+            lambda t: t * stats.std / math.sqrt(m) > target_half, m
         ):
             m += 1
         recommended = m

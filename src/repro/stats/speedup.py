@@ -149,12 +149,16 @@ def analyze_speedups(
     level: float = 0.95,
     target_rel_width: float = 0.01,
     seed: int = 0,
+    t_interval: Optional[ConfidenceInterval] = None,
 ) -> SpeedupAnalysis:
     """Run the full inference battery over a paired speedup sample.
 
     ``distinct_setups`` defaults to ``len(speedups)`` — pass the true
     count when measurements share setups so the recorded sample is
-    honest about its replication structure.  Deterministic given
+    honest about its replication structure.  ``t_interval`` is the
+    sample's ``level`` t interval when the caller already has it (a
+    randomized evaluation does); an interval of another method or level
+    raises :class:`StatsError`.  Deterministic given
     ``seed`` (bootstrap resampling uses the suite's LCG).  Raises
     :class:`StatsError` for samples no interval can answer for (n < 2,
     zero variance, non-positive ratios) — callers that cannot guarantee
@@ -170,7 +174,13 @@ def analyze_speedups(
             f"distinct_setups ({distinct}) cannot exceed the number of "
             f"observations ({n})"
         )
-    t_ci = t_confidence_interval(speedups, level=level)
+    if t_interval is None:
+        t_interval = t_confidence_interval(speedups, level=level)
+    elif t_interval.method != "t" or t_interval.level != level:
+        raise StatsError(
+            f"a {t_interval.method} interval at level {t_interval.level} "
+            f"is not this sample's t interval at level {level}"
+        )
     bca_ci = bca_confidence_interval(speedups, level=level, seed=seed)
     test, effect = paired_speedup_test(speedups)
     hl = math.exp(hodges_lehmann([math.log(s) for s in speedups]))
@@ -178,7 +188,7 @@ def analyze_speedups(
         speedups=tuple(float(s) for s in speedups),
         distinct_setups=distinct,
         level=level,
-        t_interval=t_ci,
+        t_interval=t_interval,
         bca_interval=bca_ci,
         test=test,
         effect_size=effect,

@@ -31,7 +31,7 @@ import os
 from functools import lru_cache
 from typing import Mapping
 
-from repro.core.session import canonical_json, setup_to_dict
+from repro.core.session import canonical_json, compiler_to_data, setup_to_dict
 from repro.core.setup import ExperimentalSetup
 
 #: Key-scheme version, recorded in provenance manifests.  Bump whenever
@@ -150,7 +150,7 @@ def artifact_key(
         "workload": workload,
         "sources": sources,
         "build": {
-            "compiler": compiler,
+            "compiler": compiler_to_data(compiler),
             "opt_level": opt_level,
             "link_order": list(link_order) if link_order else None,
             "function_alignment": function_alignment,

@@ -28,7 +28,7 @@ import errno
 import io
 import json
 import pickle
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from repro._errors import ArchiveCorruption
 from repro.core.experiment import Measurement
@@ -133,15 +133,21 @@ class MeasurementStore:
             return None
 
     def get_measurement(
-        self, experiment, setup: ExperimentalSetup
-    ) -> Optional[Measurement]:
-        """Return the stored measurement for ``setup``, or None (miss)."""
+        self, experiment, setup: ExperimentalSetup, *, with_text: bool = False
+    ) -> Union[None, Measurement, Tuple[Measurement, str]]:
+        """Return the stored measurement for ``setup``, or None (miss).
+
+        With ``with_text`` a hit is ``(measurement, text)``: ``text`` is
+        the entry's checksum-verified payload, the canonical JSON of the
+        measurement's record, which the sweep journal embeds verbatim
+        instead of encoding the measurement again.
+        """
         key = self.key_for(experiment, setup)
         payload = self._get(key)
         if payload is not None:
             try:
-                data = json.loads(payload.decode())
-                m = load_measurement_record(data, path=key)
+                text = payload.decode()
+                m = load_measurement_record(json.loads(text), path=key)
             except (ArchiveCorruption, UnicodeDecodeError, ValueError):
                 self.corrupt += 1
                 obs_metrics.counter("store.corrupt").inc()
@@ -150,7 +156,7 @@ class MeasurementStore:
                 self.hits += 1
                 obs_metrics.counter("store.hits").inc()
                 obs_metrics.counter("store.bytes_read").inc(len(payload))
-                return m
+                return (m, text) if with_text else m
         self.misses += 1
         obs_metrics.counter("store.misses").inc()
         return None

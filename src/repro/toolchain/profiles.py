@@ -18,8 +18,8 @@ setting, e.g. ``GCC.unroll_factor[3] == 4``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from dataclasses import asdict, dataclass
+from typing import Any, Dict, Tuple
 
 OPT_LEVELS = (0, 1, 2, 3)
 
@@ -65,6 +65,24 @@ class CompilerProfile:
             align = self.loop_alignment[level]
             if align < 1 or (align & (align - 1)) != 0:
                 raise ValueError(f"{self.name}: loop alignment must be a power of 2")
+
+    def to_dict(self) -> Dict[str, Any]:
+        """Serialize to plain data (JSON-safe), so a setup with a custom
+        profile can be archived, journaled, keyed and sent to agents."""
+        out = asdict(self)
+        for key, value in out.items():
+            if isinstance(value, tuple):
+                out[key] = list(value)
+        return out
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]) -> "CompilerProfile":
+        """Reconstruct a profile serialized by :meth:`to_dict`."""
+        data = dict(data)
+        for key, value in data.items():
+            if isinstance(value, list):
+                data[key] = tuple(value)
+        return cls(**data)
 
 
 #: gcc-flavoured heuristics: inlines small callees from O2, unrolls only

@@ -102,29 +102,52 @@ def _lane_constants() -> Tuple[int, int, int, struct.Struct]:
 _JUMP_MUL, _JUMP_INC, _SLOT_MASK, _SLOTS = _lane_constants()
 
 
-def lcg_values(seed: int) -> Iterator[int]:
-    """Deterministic 63-bit LCG; the suite's only randomness source.
-
-    An endless iterator over the values of the stream seeded by
-    ``seed``.  Its first round steps one state per value, so a caller
-    that draws a few values pays for a few steps.  After that, state
-    ``i + 256`` is ``A**256 * s[i] + C_256`` (mod 2**63), so one
-    big-integer multiply-add advances all 256 lanes of a round; the
-    values are exactly those of the one-state-at-a-time recurrence, in
-    the same order, on any host byte order.
-    """
+def _first_states(seed: int) -> Iterator[int]:
+    """The first round's 256 states of the stream seeded by ``seed``,
+    one recurrence step each."""
     state = (seed * 2862933555777941757 + 3037000493) & _LCG_MASK
-    states = []
     for __ in range(_LANES):
         state = (state * _LCG_MUL + _LCG_INC) & _LCG_MASK
-        states.append(state)
-        yield state >> 16
+        yield state
+
+
+def _later_rounds(states: Sequence[int]) -> Iterator[Tuple[int, ...]]:
+    """The rounds after the one whose states are ``states``, 256 values
+    each.  State ``i + 256`` is ``A**256 * s[i] + C_256`` (mod 2**63), so
+    one big-integer multiply-add advances all 256 lanes of a round."""
     lanes = int.from_bytes(_SLOTS.pack(*states), "little")
     while True:
         lanes = (lanes * _JUMP_MUL + _JUMP_INC) & _SLOT_MASK
         # Shifting the whole integer moves each slot's value into its low
         # word; the next slot's low 16 bits land in the skipped high word.
-        yield from _SLOTS.unpack((lanes >> 16).to_bytes(_SLOTS.size, "little"))
+        yield _SLOTS.unpack((lanes >> 16).to_bytes(_SLOTS.size, "little"))
+
+
+def lcg_values(seed: int) -> Iterator[int]:
+    """Deterministic 63-bit LCG; the suite's only randomness source.
+
+    An endless iterator over the values of the stream seeded by
+    ``seed``.  Its first round steps one state per value, so a caller
+    that draws a few values pays for a few steps; after that it reads
+    the 256-lane rounds of :func:`lcg_rounds`.  The values are exactly
+    those of the one-state-at-a-time recurrence, in the same order, on
+    any host byte order.
+    """
+    states = []
+    for state in _first_states(seed):
+        states.append(state)
+        yield state >> 16
+    for values in _later_rounds(states):
+        yield from values
+
+
+def lcg_rounds(seed: int) -> Iterator[Tuple[int, ...]]:
+    """:func:`lcg_values` 256 values at a time: an endless iterator of
+    tuples that, joined, are exactly that stream.  For callers that
+    draw in bulk, such as BCa resampling."""
+    states = list(_first_states(seed))
+    yield tuple(state >> 16 for state in states)
+    yield from _later_rounds(states)
 
 
 def lcg_stream(seed: int) -> Callable[[], int]:

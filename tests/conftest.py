@@ -7,12 +7,19 @@ test modules.
 
 from __future__ import annotations
 
+import importlib.util
+import math
+import os
+from typing import Dict, Sequence
+
 import pytest
 
 from repro.arch import execute, get_machine
 from repro.core import Experiment, ExperimentalSetup
 from repro.os import Environment, load_process
-from repro.stats import normal_cdf, t_cdf
+from repro.core.errors import StatsError
+from repro.stats import SummaryStats, normal_cdf, normal_ppf, t_cdf, t_ppf
+from repro.stats.samplesize import MAX_PROJECTED_N, SampleSizeEstimate
 from repro.toolchain import compile_program, compile_unit, link
 from repro import workloads
 
@@ -133,6 +140,22 @@ def run_main(source: str, opt_level: int = 2, profile: str = "gcc", inputs=None)
     ).exit_value
 
 
+def example_treatment() -> ExperimentalSetup:
+    """The treatment setup of examples/evaluate_new_optimization.py: gcc
+    O3 with the example's custom ``CompilerProfile``."""
+    path = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        "examples",
+        "evaluate_new_optimization.py",
+    )
+    spec = importlib.util.spec_from_file_location("evaluate_new_optimization", path)
+    example = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(example)
+    return ExperimentalSetup(compiler="gcc", opt_level=3).with_changes(
+        compiler=example.AGGRESSIVE
+    )
+
+
 def reference_normal_ppf(p: float) -> float:
     """``normal_ppf`` as a fixed 200-halving bisection: the reference its
     early-stopping kernel must match bit for bit."""
@@ -185,3 +208,88 @@ def reference_bootstrap_estimates(values, stat, n_resamples: int, seed: int):
         estimates.append(stat(sample))
     estimates.sort()
     return estimates
+
+
+def reference_required_setups(
+    speedups: Sequence[float],
+    level: float = 0.95,
+    target_rel_width: float = 0.01,
+) -> SampleSizeEstimate:
+    """``required_setups`` with every t quantile bisected: the reference
+    its bracket decisions must match bit for bit (the function before
+    the projection read certified brackets, verbatim)."""
+    if len(speedups) < 2:
+        raise StatsError(
+            "sample-size estimation needs at least 2 observed setups, "
+            f"got {len(speedups)}"
+        )
+    if not 0.0 < level < 1.0:
+        raise StatsError(f"level must be in (0, 1), got {level}")
+    if target_rel_width <= 0.0:
+        raise StatsError(
+            f"target relative width must be positive, got {target_rel_width}"
+        )
+    stats = SummaryStats.from_values(speedups)
+    if stats.mean == 0.0:
+        raise StatsError(
+            "relative interval width is undefined for a zero-mean sample"
+        )
+    n = stats.n
+    if stats.std == 0.0:
+        return SampleSizeEstimate(
+            n_observed=n,
+            half_width=0.0,
+            rel_half_width=0.0,
+            target_rel_width=target_rel_width,
+            level=level,
+            recommended_n=n,
+            converged=True,
+        )
+    q = 0.5 + level / 2.0
+    # t_{m-1} at each size m, computed at most once per call: the
+    # half-width, the fixed point and the final scan share these values.
+    crit: Dict[int, float] = {}
+
+    def t_crit(m: int) -> float:
+        if m not in crit:
+            crit[m] = t_ppf(q, m - 1)
+        return crit[m]
+
+    half = t_crit(n) * stats.std / math.sqrt(n)
+    rel = half / abs(stats.mean)
+    target_half = target_rel_width * abs(stats.mean)
+    recommended = n
+    if half > target_half:
+        # Solve t_{m-1} * s / sqrt(m) <= target by fixed point: seed with
+        # the normal-quantile solution (a lower bound, since t_crit >= z)
+        # and re-solve with the t quantile at the current guess until it
+        # stabilizes — a handful of t_ppf calls instead of one per
+        # candidate m.
+        z = normal_ppf(q)
+        m = max(n + 1, int(math.ceil((z * stats.std / target_half) ** 2)))
+        for __ in range(16):
+            if m >= MAX_PROJECTED_N:
+                m = MAX_PROJECTED_N
+                break
+            needed = max(
+                n + 1,
+                int(math.ceil((t_crit(m) * stats.std / target_half) ** 2)),
+            )
+            if needed <= m:
+                break
+            m = needed
+        while (
+            m < MAX_PROJECTED_N
+            and t_crit(m) * stats.std / math.sqrt(m) > target_half
+        ):
+            m += 1
+        recommended = m
+    return SampleSizeEstimate(
+        n_observed=n,
+        half_width=half,
+        rel_half_width=rel,
+        target_rel_width=target_rel_width,
+        level=level,
+        recommended_n=recommended,
+        converged=half <= target_half,
+    )

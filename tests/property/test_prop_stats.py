@@ -2,19 +2,27 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import hypothesis.strategies as st
 import scipy.stats
 from hypothesis import assume, given, settings
 
+import repro.stats.samplesize
 from repro.stats import (
     SummaryStats,
     kernel_density,
     normal_ppf,
     quantile,
+    required_setups,
     t_confidence_interval,
     t_ppf,
 )
-from tests.conftest import reference_normal_ppf, reference_t_ppf
+from tests.conftest import (
+    reference_normal_ppf,
+    reference_required_setups,
+    reference_t_ppf,
+)
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -104,3 +112,45 @@ def test_kde_density_nonnegative_and_normalized(values):
         # sum over undersampled spikes has no tight bound, so only the
         # sign is meaningful here.
         assert mass > 0.0
+
+
+speedup_samples = st.lists(
+    st.floats(min_value=0.5, max_value=2.0), min_size=2, max_size=60
+)
+levels = st.floats(min_value=0.01, max_value=0.999)
+targets = st.floats(min_value=0.001, max_value=0.3)
+
+
+def _no_bracket(p, df, start):
+    return None
+
+
+def _straddling_bracket(p, df, start):
+    # Contains the quantile, so it is sound, but it is wide enough that
+    # its ends nearly always fall on either side of a decision's step.
+    t = t_ppf(p, df)
+    return 0.5 * t, 2.0 * t
+
+
+@settings(max_examples=200, deadline=None)
+@given(speedup_samples, levels, targets)
+def test_required_setups_equals_the_bisecting_reference(values, level, target):
+    assert (
+        required_setups(values, level, target).to_dict()
+        == reference_required_setups(values, level, target).to_dict()
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    speedup_samples,
+    levels,
+    targets,
+    st.sampled_from([_no_bracket, _straddling_bracket]),
+)
+def test_required_setups_falls_back_to_the_exact_quantile(
+    values, level, target, bracket
+):
+    with mock.patch.object(repro.stats.samplesize, "t_ppf_bracket", bracket):
+        got = required_setups(values, level, target).to_dict()
+    assert got == reference_required_setups(values, level, target).to_dict()

@@ -8,8 +8,11 @@ from repro import workloads
 from repro.arch import core2
 from repro.core import Experiment, ExperimentalSetup
 from repro.core.errors import ArchiveCorruption
+from repro.core.runner import sweep_id
 from repro.core.session import (
     FORMAT_V1,
+    canonical_json,
+    load_measurement_record,
     load_measurements,
     measurement_from_dict,
     measurement_to_dict,
@@ -19,6 +22,8 @@ from repro.core.session import (
     setup_to_dict,
     verify_against_archive,
 )
+from repro.store.keys import artifact_key, measurement_key
+from tests.conftest import example_treatment
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +48,50 @@ class TestSetupSerialization:
 
         s = ExperimentalSetup(machine=core2(), link_order=("x",))
         json.dumps(setup_to_dict(s))  # must not raise
+
+    def test_custom_compiler_profile_roundtrips_through_json(self):
+        # The treatment of examples/evaluate_new_optimization.py.
+        treatment = example_treatment()
+        data = json.loads(canonical_json(setup_to_dict(treatment)))
+        assert data["compiler"] == {
+            "__compiler_profile__": treatment.compiler.to_dict()
+        }
+        assert setup_from_dict(data) == treatment
+
+    @pytest.mark.parametrize("profile", [5, {"name": "x"}, [1, 2]])
+    def test_malformed_compiler_profile_is_archive_corruption(
+        self, exp, base_setup, profile
+    ):
+        data = measurement_to_dict(exp.run(base_setup))
+        data["setup"]["compiler"] = {"__compiler_profile__": profile}
+        with pytest.raises(ArchiveCorruption):
+            load_measurement_record(data)
+
+    def test_preset_setups_keep_their_bytes(self):
+        # Pinned before custom profiles could be serialized: a preset
+        # compiler is still its bare name in keys and sweep ids.
+        setups = [
+            ExperimentalSetup(
+                compiler="icc", opt_level=3, link_order=("b", "a"),
+                env_bytes=132,
+            ),
+            ExperimentalSetup(),
+        ]
+        args = ("sphinx3", "s" * 64)
+        assert measurement_key(
+            *args, "test", 0, True, setups[0], "e" * 64
+        ) == (
+            "meas-b81d743a65654572eee8b7bc06294f65"
+            "b98d09d43a38e1bf7a0e584d5d3cb592"
+        )
+        assert artifact_key(*args, setups[0], "e" * 64) == (
+            "art-ac1dca938e427ae9d77b7eb3442c52e5"
+            "73bd4a79f6c0cb91717d1dc9af2ba379"
+        )
+        assert sweep_id("sphinx3", "test", 0, setups) == (
+            "b5e58d2c71f24adaa8b33b301fded162"
+            "c8e71a626ee616c584d0d914823e1e1e"
+        )
 
 
 class TestMeasurementSerialization:

@@ -55,6 +55,19 @@ class TestDistributionsAgainstScipy:
                 scipy.stats.beta.cdf(x, a, b), abs=1e-10
             )
 
+    @pytest.mark.parametrize(
+        "df", [2, 3, 5, 10, 15, 30, 71, 73, 100, 1e3, 1e4, 1e5]
+    )
+    def test_t_cdf_near_the_quantiles(self, df):
+        # The premise of the certified quantile brackets: t_cdf is within
+        # BRACKET_MARGIN / 2 of the true CDF.  Checked here with 500x room.
+        assert round(repro.stats.base.BRACKET_MARGIN / 1e-10) >= 1000
+        for q in (0.55, 0.75, 0.9, 0.975, 0.995, 0.9995):
+            quantile_t = t_ppf(q, df)
+            for f in (0.5, 0.99, 1 - 1e-6, 1, 1 + 1e-6, 1.01, 2):
+                t = quantile_t * f
+                assert abs(t_cdf(t, df) - scipy.stats.t.cdf(t, df)) < 1e-10
+
     def test_ppf_domain_checked(self):
         with pytest.raises(ValueError):
             normal_ppf(0.0)

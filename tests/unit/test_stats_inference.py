@@ -14,6 +14,7 @@ import pytest
 
 scipy_stats = pytest.importorskip("scipy.stats")
 
+import repro.stats.base
 import repro.stats.samplesize
 from repro.core import ExperimentalSetup
 from repro.core.errors import StatsError
@@ -36,8 +37,21 @@ from repro.stats import (
     t_ppf,
     wilcoxon_signed_rank,
 )
+from repro.stats.base import t_ppf_bracket
 
 X = [1.02, 1.10, 0.97, 1.15, 1.04, 1.08, 0.99, 1.21, 1.05, 1.11]
+
+
+def warm_rerun_evaluation(experiment):
+    """perfbench's warm-rerun plan: perlbench O2 vs O3 over
+    paired_random_setups(16 pairs, seed 0)."""
+    return evaluate_with_randomization(
+        experiment,
+        ExperimentalSetup(opt_level=2),
+        ExperimentalSetup(opt_level=3),
+        n_setups=16,
+        seed=0,
+    )
 Y = [1.00, 1.03, 1.01, 1.09, 1.02, 1.01, 1.00, 1.12, 1.03, 1.05]
 
 
@@ -233,26 +247,66 @@ class TestRequiredSetups:
 
     @pytest.mark.slow
     def test_each_t_quantile_computed_once(self, perlbench_experiment, monkeypatch):
-        # The 16 speedups of perfbench's warm-rerun plan: perlbench O2
-        # vs O3 over paired_random_setups(16 pairs, seed 0).
-        speedups = evaluate_with_randomization(
-            perlbench_experiment,
-            ExperimentalSetup(opt_level=2),
-            ExperimentalSetup(opt_level=3),
-            n_setups=16,
-            seed=0,
-        ).speedups
+        speedups = warm_rerun_evaluation(perlbench_experiment).speedups
         dfs = Counter()
+        brackets = Counter()
 
         def counting_t_ppf(p, df):
             dfs[df] += 1
             return t_ppf(p, df)
 
+        def counting_bracket(p, df, start):
+            brackets[df] += 1
+            return t_ppf_bracket(p, df, start)
+
         monkeypatch.setattr(repro.stats.samplesize, "t_ppf", counting_t_ppf)
+        monkeypatch.setattr(
+            repro.stats.samplesize, "t_ppf_bracket", counting_bracket
+        )
         est = required_setups(speedups)
-        assert dfs == {15: 1, 71: 1, 73: 1}
+        # The half-width bisects its quantile; the projection's two sizes
+        # are decided by certified brackets alone.
+        assert dfs == {15: 1}
+        assert brackets == {71: 1, 73: 1}
         assert est.recommended_n == 74
         assert est.half_width == 0.023382421020773526
+
+    @pytest.mark.slow
+    def test_analysis_reuses_the_evaluations_t_interval(
+        self, perlbench_experiment, monkeypatch
+    ):
+        counts = Counter()
+
+        def counting(module):
+            original = module.t_ppf
+
+            def t_ppf_counted(p, df):
+                counts[df] += 1
+                return original(p, df)
+
+            monkeypatch.setattr(module, "t_ppf", t_ppf_counted)
+
+        counting(repro.stats.base)
+        counting(repro.stats.samplesize)
+        ev = warm_rerun_evaluation(perlbench_experiment)
+        analysis = ev.analysis(seed=0)
+        # The evaluation's t interval and the half-width: 2 bisections,
+        # where recomputing the interval and bisecting every projected
+        # size took 5.
+        assert sum(counts.values()) == 2
+        assert canonical_json(analysis.to_dict()) == canonical_json(
+            analyze_speedups(
+                ev.speedups, distinct_setups=ev.distinct_setups, seed=0
+            ).to_dict()
+        )
+
+    def test_a_foreign_t_interval_is_refused(self):
+        with pytest.raises(StatsError):
+            analyze_speedups(X, t_interval=bca_confidence_interval(X))
+        with pytest.raises(StatsError):
+            analyze_speedups(X, t_interval=t_confidence_interval(X, level=0.9))
+        given = t_confidence_interval(X)
+        assert analyze_speedups(X, seed=3, t_interval=given).t_interval is given
 
 
 class TestConvergenceTrajectory:

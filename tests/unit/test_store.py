@@ -16,6 +16,7 @@ import pytest
 
 from repro import workloads
 from repro.core import Experiment, ExperimentalSetup, RunnerConfig, SweepRunner
+from repro.core import runner as runner_mod
 from repro.core.session import (
     canonical_json,
     load_measurements,
@@ -32,6 +33,7 @@ from repro.store import (
     engine_fingerprint,
     open_store,
 )
+from tests.conftest import example_treatment
 
 WORKLOAD = "sphinx3"
 
@@ -278,6 +280,69 @@ class TestWarmRuns:
         with open(warm_journal) as fh:
             warm_lines = fh.readlines()
         assert warm_lines == cold_lines
+
+    def test_warm_journal_embeds_the_store_payloads(self, tmp_path, monkeypatch):
+        # A hit's journal line is built around the entry's own payload
+        # text: no measurement is encoded again on the way.
+        setups = [ExperimentalSetup(env_bytes=100 + 16 * i) for i in range(6)]
+        root = str(tmp_path / "store")
+
+        def run(journal):
+            SweepRunner(
+                fresh_experiment(),
+                RunnerConfig(backoff_base=0.001),
+                journal_path=str(tmp_path / journal),
+                store=open_store(root),
+                sleep=lambda s: None,
+            ).run(setups)
+            with open(tmp_path / journal) as fh:
+                return fh.readlines()
+
+        cold = run("cold.jsonl")
+        encoded = []
+
+        def counting(m):
+            encoded.append(m)
+            return measurement_to_dict(m)
+
+        monkeypatch.setattr(runner_mod, "measurement_to_dict", counting)
+        assert run("warm.jsonl") == cold
+        assert encoded == []
+
+    def test_custom_compiler_profile_sweeps_resume_and_go_warm(self, tmp_path):
+        treatment = example_treatment()
+        setups = [treatment.with_changes(env_bytes=e) for e in (100, 148)]
+        root = str(tmp_path / "store")
+
+        def run(journal):
+            return SweepRunner(
+                fresh_experiment(),
+                RunnerConfig(jobs=2, backoff_base=0.001),
+                journal_path=str(tmp_path / journal),
+                store=open_store(root),
+                sleep=lambda s: None,
+            ).run(setups)
+
+        cold = run("a.jsonl")
+        assert cold.report.measured == len(setups)
+        assert not cold.report.quarantined
+        resumed = run("a.jsonl")
+        assert (resumed.report.resumed, resumed.report.measured) == (
+            len(setups), 0
+        )
+        before = engine_runs()
+        warm_store = open_store(root)
+        warm = SweepRunner(
+            fresh_experiment(),
+            RunnerConfig(jobs=2, backoff_base=0.001),
+            store=warm_store,
+            sleep=lambda s: None,
+        ).run(setups)
+        assert engine_runs() == before
+        assert warm_store.hits == len(setups)
+        assert [measurement_to_dict(m) for m in warm.measurements] == [
+            measurement_to_dict(m) for m in cold.measurements
+        ]
 
     def test_memory_store_serves_second_sweep_in_process(self):
         store = MeasurementStore(MemoryBackend())
